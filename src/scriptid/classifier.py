@@ -32,13 +32,6 @@ __all__ = [
 
 MODEL_VERSION = 1
 
-# the four scripts the toolkit ships fixtures for; models may declare others
-KANNADA = "Kannada"
-TELUGU = "Telugu"
-DEVNAGARI = "Devnagari"
-ENGLISH_NUMERAL = "EnglishNumeral"
-
-
 class ModelFormatError(ValueError):
     """Unreadable, unknown-version or incompatible model file."""
 

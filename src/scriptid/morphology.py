@@ -6,21 +6,24 @@ reconstruction, and hole filling.  Out-of-image pixels count as
 background for erosion and dilation, so an SE must fit entirely inside
 the image (over ink) for a pixel to survive erosion.
 
-Reconstruction uses the hybrid algorithm: one raster scan, one
-anti-raster scan, then a FIFO queue that finishes whatever the two
-sweeps left unstable.  The scans here run on image rows packed into
-Python integers (one bit per pixel), which makes the per-row
-propagation word-parallel; the queue stage then touches only stragglers
-near concavities.  The result is exactly the fixpoint of iterated
-geodesic dilation of the marker under the mask.
+Everything heavy is a ``scipy.ndimage`` primitive running in C.
+Erosion by a line SE is a 1-D running minimum along the SE direction
+(``minimum_filter1d`` with zero padding); the diagonals are sheared
+into columns first, through a strided view, so they take the same
+path.  Binary reconstruction by dilation is the union of the mask's
+connected components that the marker touches (Vincent, IEEE TIP 1993),
+so it is one ``ndi.label`` plus a lookup table; hole filling labels the
+background once and fills every component that misses the frame.  Both
+give exactly the fixpoint of iterated geodesic dilation.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
+from scipy import ndimage as ndi
 
 from scriptid.imaging import as_binary
 
@@ -38,6 +41,7 @@ __all__ = [
 
 # unit steps for the four stroke directions; 45 runs up-right, 135 up-left
 _LINE_STEPS = {0: (0, 1), 45: (-1, 1), 90: (1, 0), 135: (-1, -1)}
+_STRUCTS = {4: ndi.generate_binary_structure(2, 1), 8: np.ones((3, 3), dtype=bool)}
 
 
 @dataclass(frozen=True)
@@ -76,36 +80,18 @@ def _translate(img: np.ndarray, dr: int, dc: int) -> np.ndarray:
     return out
 
 
-def _shear(b: np.ndarray, sign: int) -> np.ndarray:
-    """Map (r, c) -> (r, c + sign*r [+ h-1]); diagonals become verticals."""
-    h, w = b.shape
-    out = np.zeros((h, w + h - 1), dtype=b.dtype)
-    r = np.arange(h)[:, None]
-    c = np.arange(w)[None, :]
-    cc = c + r if sign > 0 else c - r + (h - 1)
-    out[r, cc] = b
-    return out
+def _diagonal_view(buf: np.ndarray, w: int, sign: int) -> np.ndarray:
+    """(h, w) strided view of an (h, w+h) uint8 buffer in which pixel (r, c)
+    sits at column c + r (``sign`` 1) or c - r + h - 1 (``sign`` -1).
 
-
-def _unshear(s: np.ndarray, sign: int, w: int) -> np.ndarray:
-    h = s.shape[0]
-    r = np.arange(h)[:, None]
-    c = np.arange(w)[None, :]
-    cc = c + r if sign > 0 else c - r + (h - 1)
-    return np.ascontiguousarray(s[r, cc])
-
-
-def _erode_rows(a: np.ndarray, length: int) -> np.ndarray:
-    """Erosion of every row by a centered 1-D window: a pixel survives iff
-    the nearest zero on each side is more than length//2 away.  O(n) via
-    running last/next-zero indices, independent of the SE length."""
-    hw = length // 2
-    h, w = a.shape
-    idx = np.arange(w, dtype=np.int64)
-    last0 = np.maximum.accumulate(np.where(a == 0, idx, np.int64(-1)), axis=1)
-    rev = np.where(a[:, ::-1] == 0, idx, np.int64(-1))
-    next0 = (w - 1) - np.maximum.accumulate(rev, axis=1)[:, ::-1]
-    return ((a == 1) & (idx - last0 > hw) & (next0 - idx > hw)).astype(np.uint8)
+    Either way a pure diagonal of the view is one column of ``buf``; the
+    buffer columns the view never covers hold the zero padding.
+    """
+    h, bw = buf.shape
+    flat = buf.reshape(-1)
+    if sign > 0:
+        return as_strided(flat, shape=(h, w), strides=(bw + 1, 1))
+    return as_strided(flat[h - 1 :], shape=(h, w), strides=(bw - 1, 1))
 
 
 def erode(img, se: StructuringElement) -> np.ndarray:
@@ -113,14 +99,16 @@ def erode(img, se: StructuringElement) -> np.ndarray:
     b = as_binary(img)
     if se.length == 1:
         return b.copy()
-    if se.direction == 0:
-        return _erode_rows(b, se.length)
-    if se.direction == 90:
-        return np.ascontiguousarray(_erode_rows(b.T, se.length).T)
+    if se.direction in (0, 90):
+        axis = 1 if se.direction == 0 else 0
+        return ndi.minimum_filter1d(b, se.length, axis=axis, mode="constant", cval=0)
     # diagonals: shear so the SE direction becomes vertical, erode, unshear
     sign = 1 if se.direction == 45 else -1
-    sheared = _shear(b, sign)
-    return _unshear(_erode_rows(sheared.T, se.length).T, sign, b.shape[1])
+    h, w = b.shape
+    sheared = np.zeros((h, w + h), dtype=np.uint8)
+    _diagonal_view(sheared, w, sign)[...] = b
+    eroded = ndi.minimum_filter1d(sheared, se.length, axis=0, mode="constant", cval=0)
+    return _diagonal_view(eroded, w, sign).copy()
 
 
 def dilate(img, se: StructuringElement) -> np.ndarray:
@@ -145,63 +133,17 @@ def complement(img) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# geodesic reconstruction on bit-packed rows
-
-
-def _pack_rows(img: np.ndarray) -> list[int]:
-    packed = np.packbits(img, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _unpack_rows(rows: list[int], h: int, w: int) -> np.ndarray:
-    nbytes = (w + 7) // 8
-    buf = b"".join(v.to_bytes(nbytes, "little") for v in rows)
-    bits = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8).reshape(h, nbytes), axis=1, bitorder="little"
-    )
-    return np.ascontiguousarray(bits[:, :w])
-
-
-def _spread_right(seed: int, mask: int, width: int) -> int:
-    """Propagate seed bits toward higher bit positions within mask runs."""
-    out = seed & mask
-    if not out:
-        return 0
-    prop = mask
-    shift = 1
-    while shift < width:
-        nxt = out | ((out << shift) & prop)
-        if nxt == out:
-            break
-        out = nxt
-        prop &= prop << shift
-        shift <<= 1
-    return out
-
-
-def _spread_left(seed: int, mask: int, width: int) -> int:
-    """Propagate seed bits toward lower bit positions within mask runs."""
-    out = seed & mask
-    if not out:
-        return 0
-    prop = mask
-    shift = 1
-    while shift < width:
-        nxt = out | ((out >> shift) & prop)
-        if nxt == out:
-            break
-        out = nxt
-        prop &= prop >> shift
-        shift <<= 1
-    return out
+# geodesic reconstruction by component labeling
 
 
 def reconstruct_by_dilation(marker, mask, connectivity: int = 8) -> np.ndarray:
     """Geodesic reconstruction of ``marker`` under ``mask``.
 
     Equivalent to iterating marker <- dilate(marker) & mask until
-    stable: the union of the mask's connected components that the
-    marker touches.  ``marker`` must be pointwise <= ``mask``.
+    stable.  For binary images that fixpoint is the union of the mask's
+    connected components that the marker touches, which is what is
+    computed: label the mask, mark the labels under the marker, look
+    every pixel's label up.  ``marker`` must be pointwise <= ``mask``.
     """
     m = as_binary(marker)
     i = as_binary(mask)
@@ -213,62 +155,10 @@ def reconstruct_by_dilation(marker, mask, connectivity: int = 8) -> np.ndarray:
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     if not m.any():
         return np.zeros_like(m)
-
-    h, w = m.shape
-    jrows = _pack_rows(m)
-    mrows = _pack_rows(i)
-    diag = connectivity == 8
-
-    # raster scan: propagate from above and from the left
-    prev = 0
-    for r in range(h):
-        mr = mrows[r]
-        seed = jrows[r] | prev
-        if diag:
-            seed |= (prev << 1) | (prev >> 1)
-        prev = jrows[r] = _spread_right(seed & mr, mr, w)
-
-    # anti-raster scan: propagate from below and from the right
-    nxt = 0
-    for r in range(h - 1, -1, -1):
-        mr = mrows[r]
-        seed = jrows[r] | nxt
-        if diag:
-            seed |= (nxt << 1) | (nxt >> 1)
-        nxt = jrows[r] = _spread_left(seed & mr, mr, w)
-
-    # queue every reconstructed pixel whose anti-raster half-neighborhood
-    # still contains an unreconstructed mask pixel
-    queue: deque[tuple[int, int]] = deque()
-    for r in range(h):
-        below = (~jrows[r + 1] & mrows[r + 1]) if r + 1 < h else 0
-        nbr = (~jrows[r] & mrows[r]) >> 1
-        nbr |= below
-        if diag:
-            nbr |= (below << 1) | (below >> 1)
-        active = jrows[r] & nbr
-        while active:
-            low = active & -active
-            queue.append((r, low.bit_length() - 1))
-            active ^= low
-
-    if diag:
-        steps = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-    else:
-        steps = ((-1, 0), (0, -1), (0, 1), (1, 0))
-    while queue:
-        r, c = queue.popleft()
-        for dr, dc in steps:
-            nr = r + dr
-            nc = c + dc
-            if nr < 0 or nr >= h or nc < 0:
-                continue
-            bit = 1 << nc
-            if (mrows[nr] & bit) and not (jrows[nr] & bit):
-                jrows[nr] |= bit
-                queue.append((nr, nc))
-
-    return _unpack_rows(jrows, h, w)
+    labels, n = ndi.label(i, structure=_STRUCTS[connectivity])
+    keep = np.zeros(n + 1, dtype=np.uint8)
+    keep[labels[m == 1]] = 1
+    return keep[labels]
 
 
 def opening_by_reconstruction(img, se: StructuringElement) -> np.ndarray:
@@ -285,20 +175,18 @@ def opening_by_reconstruction(img, se: StructuringElement) -> np.ndarray:
 def fill_holes(img) -> np.ndarray:
     """Fill background regions not connected to the image border.
 
-    The background complement is reconstructed from a border-frame
-    marker (the complement restricted to the 1-pixel frame) under
-    4-connectivity, then complemented back.  4-connected background is
-    the dual of the 8-connected objects used everywhere else; it keeps
-    diagonal ink boundaries hole-tight.
+    The background is split into 4-connected components; the ones that
+    reach the 1-pixel frame stay background, every other one (a hole)
+    becomes ink.  4-connected background is the dual of the 8-connected
+    objects used everywhere else; it keeps diagonal ink boundaries
+    hole-tight.
     """
     b = as_binary(img)
-    bg = (1 - b).astype(np.uint8)
-    marker = np.zeros_like(bg)
-    marker[0, :] = bg[0, :]
-    marker[-1, :] = bg[-1, :]
-    marker[:, 0] = bg[:, 0]
-    marker[:, -1] = bg[:, -1]
-    if not marker.any():
-        return np.ones_like(b)
-    rec = reconstruct_by_dilation(marker, bg, connectivity=4)
-    return (1 - rec).astype(np.uint8)
+    labels, n = ndi.label(b == 0, structure=_STRUCTS[4])
+    filled = np.ones(n + 1, dtype=np.uint8)
+    filled[labels[0]] = 0
+    filled[labels[-1]] = 0
+    filled[labels[:, 0]] = 0
+    filled[labels[:, -1]] = 0
+    filled[0] = 1  # ink
+    return filled[labels]

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage as ndi
 
 from scriptid._util import round_half_up
 from scriptid.imaging import as_binary, connected_components
-from scriptid.morphology import _translate
 
 __all__ = [
     "LineBand",
@@ -176,20 +176,21 @@ def deskew(
 ) -> tuple[np.ndarray, float]:
     """Estimate and remove page skew; returns (deskewed page, angle).
 
-    The page is dilated with a vertical line SE (length ``dilate_len``)
-    so characters clump into word blobs, blobs smaller than ``min_area``
-    pixels are dropped, and the skew angle is the candidate in
+    The page is dilated with a vertical line SE (length ``dilate_len``,
+    at least 1) so characters clump into word blobs, blobs smaller than
+    ``min_area`` pixels are dropped, and the skew angle is the candidate in
     [-max_angle, +max_angle] whose un-rotation packs the surviving ink
     into the sharpest horizontal bands (maximum variance of the row
     projection).  The search runs coarse-to-fine down to ``step``
     degrees.  Pages with fewer than two blobs are returned unchanged
     with angle 0.
     """
+    if dilate_len < 1:
+        raise ValueError(f"dilate_len must be >= 1, got {dilate_len}")
     b = as_binary(page)
-    # vertical dilation (exact length, centered as evenly as possible)
-    blobs = np.zeros_like(b)
-    for dr in range(-(dilate_len // 2), dilate_len - dilate_len // 2):
-        blobs |= _translate(b, dr, 0)
+    # vertical dilation: rows -(L//2) .. L-L//2-1 around each pixel, so an
+    # even length reaches one row further up than down
+    blobs = ndi.maximum_filter1d(b, dilate_len, axis=0, mode="constant", cval=0)
     stats, labels = connected_components(blobs, connectivity=8)
     keep = [c.id for c in stats if c.area >= min_area]
     if len(keep) < 2:

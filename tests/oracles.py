@@ -71,6 +71,23 @@ def naive_dilate(img: np.ndarray, offsets) -> np.ndarray:
     return out
 
 
+def naive_vertical_dilation(img: np.ndarray, length: int) -> np.ndarray:
+    """out[r, c] = 1 iff some img[r + dr, c] is ink, dr in -(L//2) .. L-L//2-1.
+
+    The window is deskew's vertical dilation; an even length reaches one
+    row further up than down.
+    """
+    h, w = img.shape
+    out = np.zeros_like(img)
+    for r in range(h):
+        for c in range(w):
+            for dr in range(-(length // 2), length - length // 2):
+                if 0 <= r + dr < h and img[r + dr, c] == 1:
+                    out[r, c] = 1
+                    break
+    return out
+
+
 def _shift_or(img: np.ndarray, connectivity: int) -> np.ndarray:
     h, w = img.shape
     out = img.copy()

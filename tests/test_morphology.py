@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import (
     background_touches_border,
@@ -172,9 +175,9 @@ def test_reconstruct_matches_iterative_oracle(rng):
             assert np.array_equal(got, iterative_reconstruct(marker, mask, conn))
 
 
-def test_reconstruct_spiral_needs_queue_stage():
-    # a long spiral defeats any fixed number of raster sweeps, so this
-    # exercises the FIFO propagation stage end to end
+def test_reconstruct_spiral_one_winding_component():
+    # a long spiral defeats any fixed number of raster sweeps: a single
+    # component whose geodesic path winds through the whole image
     n = 41
     mask = np.zeros((n, n), np.uint8)
     top, bottom, left, right = 0, n - 1, 0, n - 1
@@ -320,3 +323,65 @@ def test_complement_basics(rng):
     img = rand_img(rng)
     assert np.array_equal(complement(complement(img)), img)
     assert np.array_equal(complement(img), 1 - img)
+
+
+# ---------------------------------------------------------------- properties
+@st.composite
+def binary_images(draw, max_side=24):
+    h = draw(st.integers(1, max_side))
+    w = draw(st.integers(1, max_side))
+    return draw(hnp.arrays(np.uint8, (h, w), elements=st.integers(0, 1)))
+
+
+@st.composite
+def marker_mask_pairs(draw):
+    mask = draw(binary_images())
+    seeds = draw(hnp.arrays(np.uint8, mask.shape, elements=st.integers(0, 1)))
+    return seeds & mask, mask
+
+
+# SE lengths up to 61 outrun both sides of any drawn image
+se_lengths = st.integers(0, 30).map(lambda k: 2 * k + 1)
+props = settings(max_examples=150, deadline=None)
+
+
+@props
+@given(img=binary_images(), direction=st.sampled_from((0, 45, 90, 135)), length=se_lengths)
+@example(img=np.ones((1, 1), np.uint8), direction=45, length=3)
+@example(img=np.ones((1, 9), np.uint8), direction=0, length=9)
+@example(img=np.ones((1, 9), np.uint8), direction=135, length=3)
+@example(img=np.ones((9, 1), np.uint8), direction=90, length=9)
+@example(img=np.ones((9, 1), np.uint8), direction=45, length=3)
+@example(img=np.ones((5, 7), np.uint8), direction=135, length=11)
+def test_erode_property_matches_naive_oracle(img, direction, length):
+    se = line_se(direction, length)
+    out = erode(img, se)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, naive_erode(img, se.offsets))
+
+
+@props
+@given(pair=marker_mask_pairs(), connectivity=st.sampled_from((4, 8)))
+@example(pair=(np.ones((1, 1), np.uint8), np.ones((1, 1), np.uint8)), connectivity=4)
+def test_reconstruct_property_matches_iterative_oracle(pair, connectivity):
+    marker, mask = pair
+    out = reconstruct_by_dilation(marker, mask, connectivity=connectivity)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, iterative_reconstruct(marker, mask, connectivity))
+
+
+@props
+@given(img=binary_images())
+@example(img=np.zeros((1, 1), np.uint8))
+@example(img=np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], np.uint8))
+def test_fill_holes_property_extensive_and_border_reaching(img):
+    out = fill_holes(img)
+    assert out.dtype == np.uint8
+    assert ((img == 1) <= (out == 1)).all()
+    assert background_touches_border(out)
+    # only holes are filled: every background pixel that reaches the frame stays
+    frame = np.zeros_like(img)
+    frame[0, :] = frame[-1, :] = frame[:, 0] = frame[:, -1] = 1
+    bg = (1 - img).astype(np.uint8)
+    outside = iterative_reconstruct(bg & frame, bg, 4)
+    assert np.array_equal(out, 1 - outside)

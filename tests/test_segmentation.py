@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+import scriptid.segmentation as segmentation
+from oracles import naive_vertical_dilation
 from scriptid.corpus import render_page
 from scriptid.segmentation import (
     LineBand,
@@ -181,3 +183,29 @@ def test_deskew_too_few_components_returns_zero():
     out, angle = deskew(page)
     assert angle == 0.0
     assert np.array_equal(out, page)
+
+
+def test_deskew_vertical_dilation_matches_window_oracle(rng, monkeypatch):
+    # the blob image deskew labels must be the page dilated over rows
+    # -(L//2) .. L-L//2-1, for odd and even L alike
+    seen = []
+    labeler = segmentation.connected_components
+
+    def capture(img, *args, **kwargs):
+        seen.append(np.array(img))
+        return labeler(img, *args, **kwargs)
+
+    monkeypatch.setattr(segmentation, "connected_components", capture)
+    for _ in range(2):
+        page = (rng.random((40, 56)) < 0.04).astype(np.uint8)
+        for length in range(1, 13):
+            seen.clear()
+            deskew(page, dilate_len=length)
+            assert len(seen) == 1
+            assert np.array_equal(seen[0], naive_vertical_dilation(page, length)), length
+
+
+def test_deskew_rejects_nonpositive_dilate_len():
+    page = np.zeros((10, 10), np.uint8)
+    with pytest.raises(ValueError, match="dilate_len"):
+        deskew(page, dilate_len=0)
