@@ -5,106 +5,29 @@ projection-profile line and word segmentation, an 8-feature vector per
 word (four directional densities from opening-by-reconstruction plus
 aspect ratio, pixel ratio, eccentricity and extent), and a KNN
 classifier.  See ``scriptid.cli`` for the batch frontend.
+
+The top level re-exports what a page-to-labels script needs; everything
+else is imported from its submodule (``scriptid.morphology``,
+``scriptid.classifier``, ...).
 """
 
-from scriptid.classifier import (
-    EvalReport,
-    Model,
-    ModelFormatError,
-    classify_knn,
-    classify_nn,
-    distance,
-    evaluate,
-    leave_one_out,
-    load_model,
-    save_model,
-)
-from scriptid.config import PipelineConfig, load_config
-from scriptid.features import (
-    DIRECTIONS,
-    FEATURE_NAMES,
-    WordImage,
-    extract_features,
-    se_length_for,
-)
-from scriptid.imaging import (
-    ComponentStats,
-    as_binary,
-    as_gray,
-    binarize,
-    component_eccentricity,
-    component_extent,
-    connected_components,
-    otsu_threshold,
-    remove_small_objects,
-)
-from scriptid.morphology import (
-    StructuringElement,
-    complement,
-    dilate,
-    erode,
-    fill_holes,
-    line_se,
-    opening,
-    opening_by_reconstruction,
-    reconstruct_by_dilation,
-)
-from scriptid.segmentation import (
-    LineBand,
-    WordBox,
-    deskew,
-    horizontal_projection,
-    rotate_binary,
-    segment_lines,
-    segment_words,
-    vertical_projection,
-)
+from scriptid.classifier import classify_knn, load_model
+from scriptid.features import WordImage, extract_features
+from scriptid.imaging import binarize, otsu_threshold, remove_small_objects
+from scriptid.segmentation import deskew, segment_lines, segment_words
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComponentStats",
-    "DIRECTIONS",
-    "EvalReport",
-    "FEATURE_NAMES",
-    "LineBand",
-    "Model",
-    "ModelFormatError",
-    "PipelineConfig",
-    "StructuringElement",
-    "WordBox",
     "WordImage",
-    "as_binary",
-    "as_gray",
     "binarize",
     "classify_knn",
-    "classify_nn",
-    "complement",
-    "component_eccentricity",
-    "component_extent",
-    "connected_components",
     "deskew",
-    "dilate",
-    "distance",
-    "erode",
-    "evaluate",
     "extract_features",
-    "fill_holes",
-    "horizontal_projection",
-    "leave_one_out",
-    "line_se",
-    "load_config",
     "load_model",
-    "opening",
-    "opening_by_reconstruction",
     "otsu_threshold",
-    "reconstruct_by_dilation",
     "remove_small_objects",
-    "rotate_binary",
-    "save_model",
-    "se_length_for",
     "segment_lines",
     "segment_words",
-    "vertical_projection",
     "__version__",
 ]

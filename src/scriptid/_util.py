@@ -6,6 +6,22 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
+# ndi.label structures: 4 = edge neighbours, 8 = edge and corner neighbours
+_STRUCTURES = {
+    4: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
+    8: np.ones((3, 3), dtype=bool),
+}
+
+
+def label_structure(connectivity: int) -> np.ndarray:
+    """The 3x3 ``ndi.label`` structure for 4- or 8-connectivity."""
+    try:
+        return _STRUCTURES[connectivity]
+    except KeyError:
+        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}") from None
+
 
 def round_half_up(x: float) -> int:
     """Round to the nearest integer, halves away from zero (for x >= 0)."""

@@ -53,6 +53,8 @@ class Model:
             raise ValueError(f"vectors must be (n, {len(FEATURE_NAMES)}), got {v.shape}")
         if v.shape[0] == 0:
             raise ValueError("model needs at least one sample")
+        if not np.isfinite(v).all():
+            raise ValueError("feature vectors must be finite (no nan or inf)")
         if len(self.labels) != v.shape[0]:
             raise ValueError("one label per sample required")
         if self.feature_order != FEATURE_NAMES:

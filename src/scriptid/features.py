@@ -146,4 +146,6 @@ def parse_feature_line(line: str) -> tuple[str, str | None, np.ndarray]:
     if len(row) != 2 + len(FEATURE_NAMES):
         raise ValueError(f"malformed feature line ({len(row)} fields): {line!r}")
     vec = np.array([float(v) for v in row[2:]], dtype=np.float64)
+    if not np.isfinite(vec).all():
+        raise ValueError(f"non-finite feature in line: {line!r}")
     return row[0], row[1] or None, vec

@@ -25,6 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import ndimage as ndi
 
+from scriptid._util import label_structure
 from scriptid.imaging import as_binary
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
 
 # unit steps for the four stroke directions; 45 runs up-right, 135 up-left
 _LINE_STEPS = {0: (0, 1), 45: (-1, 1), 90: (1, 0), 135: (-1, -1)}
-_STRUCTS = {4: ndi.generate_binary_structure(2, 1), 8: np.ones((3, 3), dtype=bool)}
 
 
 @dataclass(frozen=True)
@@ -151,11 +151,10 @@ def reconstruct_by_dilation(marker, mask, connectivity: int = 8) -> np.ndarray:
         raise ValueError(f"marker shape {m.shape} != mask shape {i.shape}")
     if (m > i).any():
         raise ValueError("marker must be contained in mask")
-    if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+    structure = label_structure(connectivity)
     if not m.any():
         return np.zeros_like(m)
-    labels, n = ndi.label(i, structure=_STRUCTS[connectivity])
+    labels, n = ndi.label(i, structure=structure)
     keep = np.zeros(n + 1, dtype=np.uint8)
     keep[labels[m == 1]] = 1
     return keep[labels]
@@ -182,7 +181,7 @@ def fill_holes(img) -> np.ndarray:
     hole-tight.
     """
     b = as_binary(img)
-    labels, n = ndi.label(b == 0, structure=_STRUCTS[4])
+    labels, n = ndi.label(b == 0, structure=label_structure(4))
     filled = np.ones(n + 1, dtype=np.uint8)
     filled[labels[0]] = 0
     filled[labels[-1]] = 0

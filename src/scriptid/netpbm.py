@@ -32,10 +32,9 @@ class _Scanner:
     def token(self) -> bytes:
         data, i, n = self.data, self.pos, len(self.data)
         while i < n:
-            b = data[i : i + 1]
-            if b in (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"):
+            if data[i] in _WHITESPACE:
                 i += 1
-            elif b == b"#":
+            elif data[i] == 0x23:  # '#'
                 j = data.find(b"\n", i)
                 i = n if j < 0 else j + 1
             else:
@@ -43,7 +42,7 @@ class _Scanner:
         if i >= n:
             raise NetpbmError("unexpected end of header")
         j = i
-        while j < n and data[j : j + 1] not in (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#"):
+        while j < n and data[j] not in _WHITESPACE and data[j] != 0x23:
             j += 1
         self.pos = j
         return data[i:j]
@@ -56,9 +55,7 @@ class _Scanner:
 
     def raster(self) -> bytes:
         # Exactly one whitespace byte separates the header from the raster.
-        if self.pos >= len(self.data) or self.data[self.pos : self.pos + 1] not in (
-            b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c",
-        ):
+        if self.pos >= len(self.data) or self.data[self.pos] not in _WHITESPACE:
             raise NetpbmError("missing whitespace before raster")
         return self.data[self.pos + 1 :]
 
@@ -96,6 +93,8 @@ def read(path: str) -> tuple[str, np.ndarray]:
         if len(raster) < width * height:
             raise NetpbmError(f"{path}: truncated raster")
         img = np.frombuffer(raster[: width * height], dtype=np.uint8).reshape(height, width)
+        if int(img.max()) > maxval:
+            raise NetpbmError(f"{path}: pixel value {int(img.max())} above maxval {maxval}")
         return "gray", _readonly(img.copy())
 
     if magic == b"P4":
@@ -128,7 +127,7 @@ def read(path: str) -> tuple[str, np.ndarray]:
             elif b == 0x23:  # '#'
                 j = data.find(b"\n", i)
                 i = n if j < 0 else j + 1
-            elif bytes((b,)) in (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"):
+            elif b in _WHITESPACE:
                 i += 1
             else:
                 raise NetpbmError(f"{path}: bad P1 raster byte {b!r}")

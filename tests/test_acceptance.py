@@ -76,7 +76,7 @@ def test_criterion_1_reconstruction_matches_iterative_oracle():
         checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
-    note(1, f"hybrid == iterated geodesic dilation on {checked} pairs in {elapsed:.2f}s")
+    note(1, f"label-based reconstruction == iterated geodesic dilation on {checked} pairs in {elapsed:.2f}s")
 
 
 def test_criterion_2_otsu_matches_exhaustive_scan():

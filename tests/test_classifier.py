@@ -284,6 +284,22 @@ def test_model_rejects_normalization_and_garbage(tmp_path, rng):
         load_model(str(p))
 
 
+def test_model_rejects_non_finite_vectors(tmp_path, rng):
+    for bad in (np.nan, np.inf, -np.inf):
+        v = np.zeros((3, 8))
+        v[1, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Model(vectors=v, labels=("A", "B", "A"), k=1)
+    p = tmp_path / "m.txt"
+    save_model(str(p), make_model(rng))
+    lines = p.read_text().splitlines()
+    label, _, rest = lines[4].split(",", 2)
+    lines[4] = ",".join([label, "inf", rest])
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match="finite"):
+        load_model(str(p))
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         Model(vectors=np.zeros((2, 8)), labels=("A", "B"), k=5)  # k > n

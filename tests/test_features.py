@@ -255,6 +255,13 @@ def test_feature_line_rejects_malformed():
         format_feature_line("p", "l", np.zeros(5))
 
 
+def test_feature_line_rejects_non_finite():
+    ok = format_feature_line("w.pbm", "A", np.zeros(8))
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_feature_line(ok.replace(",0.0", "," + bad, 1))
+
+
 def test_feature_names_shape():
     assert FEATURE_NAMES == ("opd_0", "opd_45", "opd_90", "opd_135", "aar", "pr", "ecc", "ext")
     assert DIRECTIONS == (0, 45, 90, 135)

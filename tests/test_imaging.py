@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import brute_otsu, flood_components, moment_axes
 from scriptid.imaging import (
@@ -104,20 +107,37 @@ def test_components_diagonal_connectivity():
     assert len(connected_components(img, connectivity=4)[0]) == 2
 
 
-def test_components_match_flood_fill_oracle(rng):
-    for conn in (4, 8):
-        for _ in range(10):
-            img = (rng.random((64, 64)) < 0.12).astype(np.uint8)
-            stats, labels = connected_components(img, connectivity=conn)
-            oracle = flood_components(img, connectivity=conn)
-            assert len(stats) == len(oracle)
-            for c, pixels in zip(stats, oracle):
-                got = set(zip(*np.nonzero(labels == c.id)))
-                assert got == pixels
-                assert c.area == len(pixels)
-                rows = [p[0] for p in pixels]
-                cols = [p[1] for p in pixels]
-                assert c.bbox == (min(rows), min(cols), max(rows), max(cols))
+@st.composite
+def ink_images(draw, max_side=40):
+    """Any shape from 1x1 to max_side square, any ink density from 0 to 1."""
+    h = draw(st.integers(1, max_side))
+    w = draw(st.integers(1, max_side))
+    density = draw(st.floats(0.0, 1.0))
+    noise = draw(hnp.arrays(np.float64, (h, w), elements=st.floats(0.0, 1.0, exclude_max=True)))
+    return (noise < density).astype(np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(img=ink_images(), conn=st.sampled_from((4, 8)))
+@example(img=np.ones((1, 40), np.uint8), conn=4)
+@example(img=np.array([[1, 0, 1, 0, 1]], np.uint8), conn=8)
+@example(img=np.array([[1], [0], [1], [1]], np.uint8), conn=8)
+@example(img=np.eye(5, dtype=np.uint8)[::-1], conn=4)
+@example(img=np.zeros((3, 2), np.uint8), conn=8)
+def test_components_match_flood_fill_oracle(img, conn):
+    stats, labels = connected_components(img, connectivity=conn)
+    oracle = flood_components(img, connectivity=conn)
+    assert labels.dtype == np.int32
+    assert np.array_equal(labels > 0, img == 1)
+    assert len(stats) == len(oracle)
+    # the oracle lists components by raster-first pixel, so this pins the order
+    for k, (c, pixels) in enumerate(zip(stats, oracle), start=1):
+        assert c.id == k
+        assert set(zip(*np.nonzero(labels == k))) == pixels
+        assert c.area == len(pixels)
+        rows = [p[0] for p in pixels]
+        cols = [p[1] for p in pixels]
+        assert c.bbox == (min(rows), min(cols), max(rows), max(cols))
 
 
 def test_components_labels_partition_ink(rng):
@@ -212,14 +232,20 @@ def test_remove_small_objects_thresholds():
 
 
 def test_remove_small_objects_matches_component_oracle(rng):
-    img = (rng.random((48, 48)) < 0.2).astype(np.uint8)
-    out = remove_small_objects(img, min_area=15)
-    expected = np.zeros_like(img)
-    for comp in flood_components(img, 8):
-        if len(comp) >= 15:
-            for r, c in comp:
-                expected[r, c] = 1
-    assert np.array_equal(out, expected)
+    images = [(rng.random((48, 48)) < d).astype(np.uint8) for d in (0.2, 0.5)]
+    images.append(np.zeros((9, 7), np.uint8))
+    for img in images:
+        comps = flood_components(img, 8)
+        largest = max((len(comp) for comp in comps), default=0)
+        for min_area in (0, 1, 15, largest, largest + 1):
+            out = remove_small_objects(img, min_area=min_area)
+            expected = np.zeros_like(img)
+            for comp in comps:
+                if len(comp) >= min_area:
+                    for r, c in comp:
+                        expected[r, c] = 1
+            assert out.dtype == np.uint8
+            assert np.array_equal(out, expected), min_area
 
 
 def test_remove_small_objects_idempotent(rng):

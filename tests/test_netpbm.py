@@ -67,6 +67,15 @@ def test_read_rejects_bad_inputs(tmp_path):
             read(str(p))
 
 
+def test_p5_rejects_pixels_above_maxval(tmp_path):
+    p = tmp_path / "over.pgm"
+    p.write_bytes(b"P5 2 1 100\n" + bytes([100, 250]))
+    with pytest.raises(NetpbmError, match="maxval"):
+        read(str(p))
+    p.write_bytes(b"P5 2 1 100\n" + bytes([0, 100]))
+    assert np.array_equal(read_gray(str(p)), [[0, 100]])
+
+
 def test_kind_specific_readers(tmp_path):
     write_pgm(str(tmp_path / "g.pgm"), np.zeros((2, 2), np.uint8))
     write_pbm(str(tmp_path / "b.pbm"), np.zeros((2, 2), np.uint8))
