@@ -23,6 +23,15 @@ def label_structure(connectivity: int) -> np.ndarray:
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}") from None
 
 
+def crop_to_ink(img: np.ndarray) -> np.ndarray | None:
+    """View of ``img`` cut to its ink bounding box; None if it has no ink."""
+    rows = np.flatnonzero(img.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(img.any(axis=0))
+    return img[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+
+
 def round_half_up(x: float) -> int:
     """Round to the nearest integer, halves away from zero (for x >= 0)."""
     return math.floor(x + 0.5)

@@ -78,8 +78,17 @@ def distance(a, b) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
-def _distances(model: Model, v) -> np.ndarray:
+def _query(v) -> np.ndarray:
+    """A caller's query as a float64 vector; raises unless it is 8 finite values."""
     q = np.asarray(v, dtype=np.float64)
+    if q.shape != (len(FEATURE_NAMES),):
+        raise ValueError(f"query must have shape ({len(FEATURE_NAMES)},), got {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("query must be finite (no nan or inf)")
+    return q
+
+
+def _distances(model: Model, q: np.ndarray) -> np.ndarray:
     return np.sqrt(((model.vectors - q) ** 2).sum(axis=1))
 
 
@@ -99,7 +108,7 @@ def _vote(model: Model, dists: np.ndarray, order: np.ndarray, k: int) -> tuple[s
 
 def classify_nn(model: Model, v) -> tuple[str, float]:
     """Label of the closest training sample (ties: lowest index)."""
-    dists = _distances(model, v)
+    dists = _distances(model, _query(v))
     i = int(np.argmin(dists))
     return model.labels[i], float(dists[i])
 
@@ -110,7 +119,7 @@ def classify_knn(model: Model, v, k: int | None = None) -> tuple[str, dict[str, 
         k = model.k
     if not 1 <= k <= len(model):
         raise ValueError(f"k={k} must lie in 1..{len(model)}")
-    dists = _distances(model, v)
+    dists = _distances(model, _query(v))
     order = np.argsort(dists, kind="stable")
     return _vote(model, dists, order, k)
 
@@ -165,10 +174,9 @@ def leave_one_out(model: Model, k: int | None = None) -> EvalReport:
     n = len(model)
     if n < k + 1:
         raise ValueError(f"leave-one-out needs at least k+1={k + 1} samples, have {n}")
-    v = model.vectors
     preds = []
     for i in range(n):
-        dists = np.sqrt(((v - v[i]) ** 2).sum(axis=1))
+        dists = _distances(model, model.vectors[i])
         dists[i] = np.inf  # self sorts last; index order otherwise intact
         order = np.argsort(dists, kind="stable")
         preds.append(_vote(model, dists, order, k)[0])

@@ -14,7 +14,9 @@ artifact behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import sys
 import time
@@ -22,9 +24,10 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage as ndi
 
 from scriptid import classifier, corpus, features, imaging, netpbm, segmentation
-from scriptid._util import write_text_atomic
+from scriptid._util import label_structure, write_text_atomic
 from scriptid.config import PipelineConfig, load_config
 
 IMAGE_SUFFIXES = (".pbm", ".pgm")
@@ -55,15 +58,16 @@ def _preprocess_page(gray: np.ndarray, cfg: PipelineConfig):
 def cmd_preprocess(args, cfg: PipelineConfig) -> int:
     gray = netpbm.read_gray(args.input)
     page, t, angle = _preprocess_page(gray, cfg)
-    stats, _ = imaging.connected_components(page, connectivity=8)
+    _, n_components = ndi.label(page, structure=label_structure(8))
     netpbm.write_pbm(args.out, page)
-    report = f"threshold={t}\nskew_degrees={angle:.2f}\ncomponents={len(stats)}\n"
+    report = f"threshold={t}\nskew_degrees={angle:.2f}\ncomponents={n_components}\n"
     write_text_atomic(args.out + ".report.txt", report)
-    print(f"{args.out}: threshold={t} skew={angle:.2f} components={len(stats)}")
+    print(f"{args.out}: threshold={t} skew={angle:.2f} components={n_components}")
     return 0
 
 
 def _segment_page(page: np.ndarray, cfg: PipelineConfig):
+    """``(name, box, crop)`` per word of a binary page, names ``L###_W###``."""
     bands = segmentation.segment_lines(
         page, tau_line=cfg.tau_line, min_line_height=cfg.min_line_height
     )
@@ -74,7 +78,8 @@ def _segment_page(page: np.ndarray, cfg: PipelineConfig):
             gap_frac=cfg.gap_frac, gap_min_floor=cfg.gap_min_floor,
         )
         for wi, box in enumerate(boxes, start=1):
-            out.append((li, wi, box))
+            crop = page[box.line.row_start : box.line.row_end + 1, box.col_start : box.col_end + 1]
+            out.append((f"L{li:03d}_W{wi:03d}", box, crop))
     return out
 
 
@@ -83,12 +88,10 @@ def cmd_segment(args, cfg: PipelineConfig) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for li, wi, box in _segment_page(page, cfg):
-        name = f"L{li:03d}_W{wi:03d}.pbm"
-        crop = page[box.line.row_start : box.line.row_end + 1, box.col_start : box.col_end + 1]
-        netpbm.write_pbm(str(out_dir / name), crop)
+    for name, box, crop in _segment_page(page, cfg):
+        netpbm.write_pbm(str(out_dir / f"{name}.pbm"), crop)
         manifest.append(
-            f"{name},{box.line.row_start},{box.line.row_end},{box.col_start},{box.col_end}"
+            f"{name}.pbm,{box.line.row_start},{box.line.row_end},{box.col_start},{box.col_end}"
         )
     manifest.sort()
     write_text_atomic(str(out_dir / "manifest.csv"), "".join(m + "\n" for m in manifest))
@@ -133,19 +136,15 @@ def cmd_extract(args, cfg: PipelineConfig) -> int:
 
     results = []
     failures = 0
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [(t[0], pool.submit(_extract_one, t)) for t in tasks]
-            for path, fut in futures:
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    failures += 1
-                    print(f"scriptid: warning: skipping {path}: {exc}", file=sys.stderr)
-    else:
-        for t in tasks:
+    with contextlib.ExitStack() as stack:
+        if args.jobs > 1 and len(tasks) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            calls = [pool.submit(_extract_one, t).result for t in tasks]
+        else:
+            calls = [functools.partial(_extract_one, t) for t in tasks]
+        for t, call in zip(tasks, calls):
             try:
-                results.append(_extract_one(t))
+                results.append(call())
             except Exception as exc:
                 failures += 1
                 print(f"scriptid: warning: skipping {t[0]}: {exc}", file=sys.stderr)
@@ -166,26 +165,26 @@ def cmd_extract(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _read_dump(path: str, require_labels: bool) -> list[tuple[str, str | None, np.ndarray]]:
-    entries = []
+def _read_dump(path: str) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Vectors and labels of a labeled feature dump."""
+    vectors, labels = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             p, label, vec = features.parse_feature_line(line)
-            if require_labels and label is None:
+            if label is None:
                 raise ValueError(f"{path}: unlabeled feature line for {p!r}")
-            entries.append((p, label, vec))
-    if not entries:
+            vectors.append(vec)
+            labels.append(label)
+    if not vectors:
         raise ValueError(f"{path}: empty feature dump")
-    return entries
+    return np.array(vectors), tuple(labels)
 
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
-    entries = _read_dump(args.dump, require_labels=True)
-    vectors = np.array([vec for _, _, vec in entries])
-    labels = tuple(label for _, label, _ in entries)
+    vectors, labels = _read_dump(args.dump)
     k = args.k if args.k is not None else cfg.k
     model = classifier.Model(vectors=vectors, labels=labels, k=k)
     classifier.save_model(args.out, model)
@@ -213,12 +212,18 @@ def cmd_classify(args, cfg: PipelineConfig) -> int:
     if args.page:
         page = _load_word_binary(args.page)
         page = imaging.remove_small_objects(page, min_area=cfg.min_area)
-        for li, wi, box in _segment_page(page, cfg):
-            crop = page[box.line.row_start : box.line.row_end + 1, box.col_start : box.col_end + 1]
-            classify_crop(f"L{li:03d}_W{wi:03d}", crop)
+        for name, _, crop in _segment_page(page, cfg):
+            classify_crop(name, crop)
     else:
+        # one unreadable or blank word is skipped, not the whole batch
         for path in sorted(args.words):
-            classify_crop(path, _load_word_binary(path))
+            try:
+                classify_crop(path, _load_word_binary(path))
+            except (OSError, ValueError) as exc:
+                print(f"scriptid: warning: skipping {path}: {exc}", file=sys.stderr)
+        if not out_lines:
+            print("scriptid: error: no word could be classified", file=sys.stderr)
+            return 1
 
     text = "".join(line + "\n" for line in out_lines)
     if args.out:
@@ -247,9 +252,7 @@ def _confusion_csv(report: classifier.EvalReport) -> str:
 
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
-    entries = _read_dump(args.dump, require_labels=True)
-    vectors = np.array([vec for _, _, vec in entries])
-    labels = tuple(label for _, label, _ in entries)
+    vectors, labels = _read_dump(args.dump)
     k = args.k if args.k is not None else cfg.k
     if args.loo:
         model = classifier.Model(vectors=vectors, labels=labels, k=k)
@@ -260,7 +263,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
             print("scriptid: error: --model is required without --loo", file=sys.stderr)
             return 2
         model = classifier.load_model(args.model)
-        test = [(vec, lab) for _, lab, vec in entries]
+        test = list(zip(vectors, labels))
         nn_report = classifier.evaluate(model, test, k=1)
         knn_report = classifier.evaluate(model, test, k=k)
     text = _report_text(nn_report, knn_report, k)

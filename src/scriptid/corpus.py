@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from scriptid._util import round_half_up, write_text_atomic
+from scriptid._util import crop_to_ink, round_half_up, write_text_atomic
 from scriptid.netpbm import read_binary, write_pbm
 from scriptid.segmentation import rotate_binary
 
@@ -68,12 +68,10 @@ def load_glyphs(root: str | Path | None = None) -> dict[str, list[np.ndarray]]:
     for class_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         glyphs = []
         for path in sorted(class_dir.glob("*.pbm")):
-            img = read_binary(str(path))
-            rows = np.flatnonzero(img.any(axis=1))
-            cols = np.flatnonzero(img.any(axis=0))
-            if rows.size == 0:
+            glyph = crop_to_ink(read_binary(str(path)))
+            if glyph is None:
                 raise ValueError(f"empty glyph: {path}")
-            glyphs.append(np.ascontiguousarray(img[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]))
+            glyphs.append(np.ascontiguousarray(glyph))
         if glyphs:
             bank[class_dir.name] = glyphs
     if not bank:
@@ -280,12 +278,10 @@ def _skew_word(rng: random.Random, img: np.ndarray, max_deg: float) -> np.ndarra
     pad_c = max(2, w // 4)
     canvas = np.zeros((h + 2 * pad_r, w + 2 * pad_c), dtype=np.uint8)
     canvas[pad_r : pad_r + h, pad_c : pad_c + w] = img
-    rot = rotate_binary(canvas, angle)
-    rows = np.flatnonzero(rot.any(axis=1))
-    cols = np.flatnonzero(rot.any(axis=0))
-    if rows.size == 0:
+    crop = crop_to_ink(rotate_binary(canvas, angle))
+    if crop is None:
         return img
-    return np.ascontiguousarray(rot[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1])
+    return np.ascontiguousarray(crop)
 
 
 def _noise_word(rng: random.Random, img: np.ndarray, p: float) -> np.ndarray:

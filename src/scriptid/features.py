@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from scriptid._util import round_half_up
+from scriptid._util import crop_to_ink, round_half_up
 from scriptid.imaging import (
     ComponentStats,
     as_binary,
@@ -66,12 +66,9 @@ class WordImage:
 
     @classmethod
     def from_image(cls, img) -> "WordImage":
-        b = as_binary(img)
-        rows = np.flatnonzero(b.any(axis=1))
-        if rows.size == 0:
+        crop = crop_to_ink(as_binary(img))
+        if crop is None:
             raise ValueError("word image contains no ink")
-        cols = np.flatnonzero(b.any(axis=0))
-        crop = b[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
         stats, _ = connected_components(crop, connectivity=8)
         view = crop.view()
         view.flags.writeable = False

@@ -8,13 +8,16 @@ the image (over ink) for a pixel to survive erosion.
 
 Everything heavy is a ``scipy.ndimage`` primitive running in C.
 Erosion by a line SE is a 1-D running minimum along the SE direction
-(``minimum_filter1d`` with zero padding); the diagonals are sheared
-into columns first, through a strided view, so they take the same
-path.  Binary reconstruction by dilation is the union of the mask's
-connected components that the marker touches (Vincent, IEEE TIP 1993),
-so it is one ``ndi.label`` plus a lookup table; hole filling labels the
-background once and fills every component that misses the frame.  Both
-give exactly the fixpoint of iterated geodesic dilation.
+(``minimum_filter1d`` with zero padding) and dilation the matching
+running maximum: the SE is symmetric, so dilating by its reflection is
+the same centred window.  Both go through one line filter, in which
+the diagonals are sheared into columns first, through a strided view,
+so they take the same path as the axes.  Binary reconstruction by
+dilation is the union of the mask's connected components that the
+marker touches (Vincent, IEEE TIP 1993), so it is one ``ndi.label``
+plus a lookup table; hole filling labels the background once and fills
+every component that misses the frame.  Both give exactly the fixpoint
+of iterated geodesic dilation.
 """
 
 from __future__ import annotations
@@ -69,17 +72,6 @@ def line_se(direction: int, length: int) -> StructuringElement:
     return StructuringElement(offsets=offsets, direction=direction, length=length)
 
 
-def _translate(img: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    """out[p] = img[p + (dr, dc)], zero where the source is out of bounds."""
-    h, w = img.shape
-    out = np.zeros_like(img)
-    r0, r1 = max(0, -dr), min(h, h - dr)
-    c0, c1 = max(0, -dc), min(w, w - dc)
-    if r0 < r1 and c0 < c1:
-        out[r0:r1, c0:c1] = img[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-    return out
-
-
 def _diagonal_view(buf: np.ndarray, w: int, sign: int) -> np.ndarray:
     """(h, w) strided view of an (h, w+h) uint8 buffer in which pixel (r, c)
     sits at column c + r (``sign`` 1) or c - r + h - 1 (``sign`` -1).
@@ -94,31 +86,29 @@ def _diagonal_view(buf: np.ndarray, w: int, sign: int) -> np.ndarray:
     return as_strided(flat[h - 1 :], shape=(h, w), strides=(bw - 1, 1))
 
 
-def erode(img, se: StructuringElement) -> np.ndarray:
-    """Binary erosion: a pixel survives iff the whole SE sits on ink in-bounds."""
-    b = as_binary(img)
-    if se.length == 1:
-        return b.copy()
+def _line_filter(b: np.ndarray, se: StructuringElement, filter1d) -> np.ndarray:
+    """Running ``filter1d`` (min or max) of ``se.length`` pixels along the
+    SE direction, centred, with out-of-image pixels read as background."""
     if se.direction in (0, 90):
         axis = 1 if se.direction == 0 else 0
-        return ndi.minimum_filter1d(b, se.length, axis=axis, mode="constant", cval=0)
-    # diagonals: shear so the SE direction becomes vertical, erode, unshear
+        return filter1d(b, se.length, axis=axis, mode="constant", cval=0)
+    # diagonals: shear so the SE direction becomes vertical, filter, unshear
     sign = 1 if se.direction == 45 else -1
     h, w = b.shape
     sheared = np.zeros((h, w + h), dtype=np.uint8)
     _diagonal_view(sheared, w, sign)[...] = b
-    eroded = ndi.minimum_filter1d(sheared, se.length, axis=0, mode="constant", cval=0)
-    return _diagonal_view(eroded, w, sign).copy()
+    filtered = filter1d(sheared, se.length, axis=0, mode="constant", cval=0)
+    return _diagonal_view(filtered, w, sign).copy()
+
+
+def erode(img, se: StructuringElement) -> np.ndarray:
+    """Binary erosion: a pixel survives iff the whole SE sits on ink in-bounds."""
+    return _line_filter(as_binary(img), se, ndi.minimum_filter1d)
 
 
 def dilate(img, se: StructuringElement) -> np.ndarray:
     """Binary dilation by the reflected SE (Minkowski addition)."""
-    b = as_binary(img)
-    out = None
-    for dr, dc in se.offsets:
-        t = _translate(b, -dr, -dc)
-        out = t if out is None else out | t
-    return out
+    return _line_filter(as_binary(img), se, ndi.maximum_filter1d)
 
 
 def opening(img, se: StructuringElement) -> np.ndarray:

@@ -81,12 +81,15 @@ def read(path: str) -> tuple[str, np.ndarray]:
     if tok != magic:
         raise NetpbmError(f"{path}: bad magic {tok!r}")
 
+    if magic not in (b"P1", b"P4", b"P5"):
+        raise NetpbmError(f"{path}: unsupported format {magic!r}")
+    width = sc.int_token()
+    height = sc.int_token()
+    maxval = sc.int_token() if magic == b"P5" else 1  # PBM has no maxval field
+    if width < 1 or height < 1:
+        raise NetpbmError(f"{path}: bad dimensions {width}x{height}")
+
     if magic == b"P5":
-        width = sc.int_token()
-        height = sc.int_token()
-        maxval = sc.int_token()
-        if width < 1 or height < 1:
-            raise NetpbmError(f"{path}: bad dimensions {width}x{height}")
         if not 1 <= maxval <= 255:
             raise NetpbmError(f"{path}: unsupported maxval {maxval}")
         raster = sc.raster()
@@ -98,10 +101,6 @@ def read(path: str) -> tuple[str, np.ndarray]:
         return "gray", _readonly(img.copy())
 
     if magic == b"P4":
-        width = sc.int_token()
-        height = sc.int_token()
-        if width < 1 or height < 1:
-            raise NetpbmError(f"{path}: bad dimensions {width}x{height}")
         raster = sc.raster()
         row_bytes = (width + 7) // 8
         if len(raster) < row_bytes * height:
@@ -110,33 +109,26 @@ def read(path: str) -> tuple[str, np.ndarray]:
         img = np.unpackbits(packed, axis=1)[:, :width]
         return "binary", _readonly(img)
 
-    if magic == b"P1":
-        width = sc.int_token()
-        height = sc.int_token()
-        if width < 1 or height < 1:
-            raise NetpbmError(f"{path}: bad dimensions {width}x{height}")
-        # Plain-format digits may be packed together; comments are legal anywhere.
-        bits = bytearray()
-        i, n = sc.pos, len(data)
-        need = width * height
-        while i < n and len(bits) < need:
-            b = data[i]
-            if b in (0x30, 0x31):  # '0' '1'
-                bits.append(b - 0x30)
-                i += 1
-            elif b == 0x23:  # '#'
-                j = data.find(b"\n", i)
-                i = n if j < 0 else j + 1
-            elif b in _WHITESPACE:
-                i += 1
-            else:
-                raise NetpbmError(f"{path}: bad P1 raster byte {b!r}")
-        if len(bits) < need:
-            raise NetpbmError(f"{path}: truncated raster")
-        img = np.frombuffer(bytes(bits), dtype=np.uint8).reshape(height, width)
-        return "binary", _readonly(img.copy())
-
-    raise NetpbmError(f"{path}: unsupported format {magic!r}")
+    # P1: plain-format digits may be packed together; comments are legal anywhere.
+    bits = bytearray()
+    i, n = sc.pos, len(data)
+    need = width * height
+    while i < n and len(bits) < need:
+        b = data[i]
+        if b in (0x30, 0x31):  # '0' '1'
+            bits.append(b - 0x30)
+            i += 1
+        elif b == 0x23:  # '#'
+            j = data.find(b"\n", i)
+            i = n if j < 0 else j + 1
+        elif b in _WHITESPACE:
+            i += 1
+        else:
+            raise NetpbmError(f"{path}: bad P1 raster byte {b!r}")
+    if len(bits) < need:
+        raise NetpbmError(f"{path}: truncated raster")
+    img = np.frombuffer(bytes(bits), dtype=np.uint8).reshape(height, width)
+    return "binary", _readonly(img.copy())
 
 
 def read_gray(path: str) -> np.ndarray:

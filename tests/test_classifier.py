@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +158,19 @@ def test_knn_rejects_bad_k(rng):
         classify_knn(m, np.zeros(8), 0)
 
 
+@pytest.mark.parametrize(
+    "query",
+    [np.full(8, np.nan), np.r_[np.zeros(7), np.inf], [5.0], np.zeros((1, 8)), np.zeros(9)],
+    ids=["nan", "inf", "length-1", "row-matrix", "length-9"],
+)
+def test_knn_and_nn_reject_bad_query(query):
+    m = Model(vectors=np.eye(3, 8), labels=("B", "A", "C"), k=1)
+    with pytest.raises(ValueError, match="query"):
+        classify_knn(m, query, 1)
+    with pytest.raises(ValueError, match="query"):
+        classify_nn(m, query)
+
+
 def test_prediction_invariant_under_training_permutation(rng):
     m = make_model(rng, n_per_class=12, spread=0.3)
     perm = rng.permutation(len(m))
@@ -249,7 +263,7 @@ def test_model_round_trip_bytes_stable(tmp_path, rng):
     save_model(p1, m)
     back = load_model(p1)
     save_model(p2, back)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
     assert back.labels == m.labels
     assert back.k == m.k
     assert np.array_equal(back.vectors, m.vectors)

@@ -11,7 +11,7 @@ from scriptid.corpus import render_page, render_word, sprinkle_speckles
 from scriptid.features import WordImage, extract_features, parse_feature_line
 from scriptid.imaging import binarize, connected_components, otsu_threshold, remove_small_objects
 from scriptid.netpbm import read_binary, write_pbm, write_pgm
-from scriptid.segmentation import deskew
+from scriptid.segmentation import deskew, rotate_binary
 
 
 def page_to_gray(page, ink=40, paper=215):
@@ -252,6 +252,57 @@ def test_classify_page_mode(tmp_path, glyph_bank, small_corpus, capsys):
     gt = sorted(truth.words, key=lambda w: (w.line_index, w.col_start))
     hits = sum(ln.split(",")[1] == wt.label for ln, wt in zip(lines, gt))
     assert hits >= len(gt) - 1  # page words come from the same generator
+
+
+def test_classify_skips_bad_words(tmp_path, small_corpus, capsys):
+    model = str(small_corpus["model"])
+    word = str(next((small_corpus["corpus"] / "Kannada").glob("*.pbm")))
+    blank = tmp_path / "blank.pbm"
+    write_pbm(str(blank), np.zeros((5, 5), np.uint8))
+    missing = tmp_path / "missing.pbm"
+
+    assert cli.main(["classify", "--model", model, word]) == 0
+    alone = capsys.readouterr().out.splitlines()
+    assert cli.main(["classify", "--model", model, word, str(blank), str(missing)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [ln.rsplit(",", 1)[0] for ln in lines] == [ln.rsplit(",", 1)[0] for ln in alone]
+    assert f"skipping {blank}: word image contains no ink" in captured.err
+    assert f"skipping {missing}" in captured.err
+
+    assert cli.main(["classify", "--model", model, str(blank), str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no word could be classified" in captured.err
+
+
+def test_classify_bad_k_fails(small_corpus, capsys):
+    word = str(next((small_corpus["corpus"] / "Kannada").glob("*.pbm")))
+    assert cli.main(["classify", "--model", str(small_corpus["model"]), "--k", "99", word]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k=99 must lie in" in captured.err
+
+
+def test_classify_page_binarizes_but_does_not_deskew(tmp_path, glyph_bank, small_corpus, capsys):
+    rng = random.Random(21)
+    page, _ = render_page(rng, glyph_bank, n_lines=3, words_per_line=(4, 4), heights=(14, 26))
+    gray = page_to_gray(rotate_binary(page, 3.0))
+    pgm = tmp_path / "skewed.pgm"
+    write_pgm(str(pgm), gray)
+
+    def predictions(src):
+        assert cli.main(["classify", "--model", str(small_corpus["model"]), "--page", str(src)]) == 0
+        return [ln.rsplit(",", 1)[0] for ln in capsys.readouterr().out.splitlines()]
+
+    got = predictions(pgm)
+    binarized = tmp_path / "binarized.pbm"
+    write_pbm(str(binarized), binarize(gray, otsu_threshold(gray)))
+    assert got == predictions(binarized)
+    preprocessed = tmp_path / "preprocessed.pbm"
+    assert cli.main(["preprocess", str(pgm), "--out", str(preprocessed)]) == 0
+    capsys.readouterr()
+    assert got != predictions(preprocessed)
 
 
 def test_classify_requires_input(small_corpus, capsys):

@@ -103,14 +103,6 @@ def test_dilate_empty_stays_empty():
     assert not dilate(np.zeros((4, 4), np.uint8), line_se(0, 3)).any()
 
 
-def test_dilate_matches_naive_oracle(rng):
-    for d in (0, 45, 90, 135):
-        se = line_se(d, 5)
-        for _ in range(5):
-            img = rand_img(rng)
-            assert np.array_equal(dilate(img, se), naive_dilate(img, se.offsets))
-
-
 def test_erode_dilate_duality_in_interior(rng):
     # dilate(img) == ~erode(~img) away from the border (padding breaks it there)
     for d in (0, 45, 90, 135):
@@ -358,6 +350,22 @@ def test_erode_property_matches_naive_oracle(img, direction, length):
     out = erode(img, se)
     assert out.dtype == np.uint8
     assert np.array_equal(out, naive_erode(img, se.offsets))
+
+
+@props
+@given(img=binary_images(), direction=st.sampled_from((0, 45, 90, 135)), length=se_lengths)
+@example(img=np.ones((1, 1), np.uint8), direction=45, length=3)
+@example(img=np.array([[0, 0, 0, 1, 0, 0, 0, 0, 0]], np.uint8), direction=0, length=9)
+@example(img=np.array([[0, 1, 0, 0, 0, 0, 0, 1, 0]], np.uint8), direction=135, length=3)
+@example(img=np.array([[0], [0], [1], [0], [0], [0], [0], [0], [1]], np.uint8), direction=90, length=9)
+@example(img=np.array([[0], [1], [0], [0], [0], [0], [0], [0], [0]], np.uint8), direction=45, length=3)
+@example(img=np.eye(5, 7, 1, np.uint8)[::-1], direction=45, length=11)
+@example(img=np.eye(5, 7, 1, np.uint8), direction=135, length=11)
+def test_dilate_matches_naive_oracle(img, direction, length):
+    se = line_se(direction, length)
+    out = dilate(img, se)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, naive_dilate(img, se.offsets))
 
 
 @props

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scriptid.netpbm import NetpbmError, read, read_binary, read_gray, write_pbm, write_pgm
 
@@ -53,18 +56,63 @@ def test_header_comments_in_p5(tmp_path):
 
 def test_read_rejects_bad_inputs(tmp_path):
     cases = {
-        "magic.pbm": b"P7\n2 2\n",
-        "trunc.pgm": b"P5\n4 4\n255\n" + b"\x00" * 3,
-        "maxval.pgm": b"P5\n2 2\n65535\n" + b"\x00" * 8,
-        "dims.pbm": b"P4\n0 3\n",
-        "garbage.pbm": b"hello world",
-        "p1bad.pbm": b"P1\n2 2\n01x1",
+        "magic.pbm": (b"P7\n2 2\n", "unsupported format"),
+        "magic-only.pbm": (b"P7", "unsupported format"),
+        "trunc.pgm": (b"P5\n4 4\n255\n" + b"\x00" * 3, "truncated raster"),
+        "maxval.pgm": (b"P5\n2 2\n65535\n" + b"\x00" * 8, "unsupported maxval"),
+        "dims.pbm": (b"P4\n0 3\n", "bad dimensions 0x3"),
+        # a P5 header is read through maxval before the dimensions are checked
+        "dims-no-maxval.pgm": (b"P5\n0 3\n", "unexpected end of header"),
+        "dims-p1.pbm": (b"P1\n3 0\n", "bad dimensions 3x0"),
+        "width.pbm": (b"P4\nx 3\n", "expected integer"),
+        "garbage.pbm": (b"hello world", "bad magic"),
+        "p1bad.pbm": (b"P1\n2 2\n01x1", "bad P1 raster byte"),
     }
-    for name, data in cases.items():
+    for name, (data, message) in cases.items():
         p = tmp_path / name
         p.write_bytes(data)
-        with pytest.raises(NetpbmError):
+        with pytest.raises(NetpbmError, match=message):
             read(str(p))
+
+
+_WS = (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c")
+whitespace = st.sampled_from(_WS)
+comments = st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+# whitespace and comments in any order, led by at least one whitespace byte
+separators = st.tuples(whitespace, st.lists(st.one_of(whitespace, comments), max_size=3)).map(
+    lambda t: t[0] + b"".join(t[1])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(magic=st.sampled_from((b"P1", b"P4", b"P5")), data=st.data())
+def test_header_layouts_read_back(tmp_path_factory, magic, data):
+    h = data.draw(st.integers(1, 12))
+    w = data.draw(st.integers(1, 12))
+    maxval = data.draw(st.integers(1, 255)) if magic == b"P5" else 1
+    img = data.draw(hnp.arrays(np.uint8, (h, w), elements=st.integers(0, maxval)))
+    fields = [magic, str(w).encode(), str(h).encode()]
+    if magic == b"P5":
+        fields.append(str(maxval).encode())
+    out = fields[0]
+    for field in fields[1:]:
+        out += data.draw(separators) + field
+    if magic == b"P1":
+        # digits may be packed or spread out, with comments between them
+        for i, v in enumerate(img.ravel()):
+            sep = separators if i == 0 else st.one_of(separators, st.just(b""))
+            out += data.draw(sep) + b"01"[v : v + 1]
+        out += data.draw(st.one_of(separators, st.just(b"")))
+    else:
+        # exactly one whitespace byte ends the header of a raw format
+        raster = np.packbits(img, axis=1) if magic == b"P4" else img
+        out += data.draw(whitespace) + raster.tobytes()
+    path = tmp_path_factory.mktemp("layout") / "img.pnm"
+    path.write_bytes(out)
+    kind, back = read(str(path))
+    assert kind == ("gray" if magic == b"P5" else "binary")
+    assert back.dtype == np.uint8
+    assert np.array_equal(back, img)
 
 
 def test_p5_rejects_pixels_above_maxval(tmp_path):
