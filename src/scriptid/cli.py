@@ -138,7 +138,7 @@ def cmd_extract(args, cfg: PipelineConfig) -> int:
     failures = 0
     with contextlib.ExitStack() as stack:
         if args.jobs > 1 and len(tasks) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))))
             calls = [pool.submit(_extract_one, t).result for t in tasks]
         else:
             calls = [functools.partial(_extract_one, t) for t in tasks]
@@ -294,6 +294,16 @@ def cmd_gen_corpus(args, cfg: PipelineConfig) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scriptid",
@@ -301,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="key=value config overrides")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for gen-corpus")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for extract")
+    parser.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for extract")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", help="binarize, despeckle and deskew a grayscale page")
@@ -362,8 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"scriptid: error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "classify" and not args.page and not args.words:
-        print("scriptid: error: classify needs word images or --page", file=sys.stderr)
+    if args.command == "classify" and bool(args.page) == bool(args.words):
+        print("scriptid: error: classify needs word images or --page, not both", file=sys.stderr)
         return 2
     try:
         return args.func(args, cfg)

@@ -6,10 +6,13 @@ is opened by reconstruction with a line SE at 0, 45, 90 and 135
 degrees, holes are filled, and the surviving ink fraction of the crop
 is recorded.  Components with a long enough stroke in the probed
 direction survive whole; everything else vanishes, so the four numbers
-profile the word's stroke directions.  The remaining four are plain
-regional descriptors: average aspect ratio, hole-filled pixel ratio,
-average eccentricity and average extent over the word's 8-connected
-components.
+profile the word's stroke directions.  The word's holes are filled
+once (``WordImage.filled_area``): an opening that keeps all of the
+word reuses that fill, one that keeps none of it has area 0, and only
+an opening that keeps some of the components is filled again.  The
+remaining four are plain regional descriptors: average aspect ratio,
+hole-filled pixel ratio, average eccentricity and average extent over
+the word's 8-connected components.
 
 Canonical feature order (fixed; stamped into model files):
 ``opd_0, opd_45, opd_90, opd_135, aar, pr, ecc, ext``.
@@ -18,6 +21,7 @@ Canonical feature order (fixed; stamped into model files):
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -74,6 +78,11 @@ class WordImage:
         view.flags.writeable = False
         return cls(img=view, components=tuple(stats))
 
+    @functools.cached_property
+    def filled_area(self) -> int:
+        """Ink count of the hole-filled word, computed on first use."""
+        return int(fill_holes(self.img).sum())
+
 
 def se_length_for(word: WordImage, ratio: float = 0.7, min_len: int = 3) -> int:
     """Line-SE length for a word: ``ratio`` of the mean component height.
@@ -93,8 +102,17 @@ def se_length_for(word: WordImage, ratio: float = 0.7, min_len: int = 3) -> int:
 def opd(word: WordImage, direction: int, ratio: float = 0.7, min_len: int = 3) -> float:
     """Directional on-pixel density after reconstruction and hole fill."""
     se = line_se(direction, se_length_for(word, ratio=ratio, min_len=min_len))
-    g = fill_holes(opening_by_reconstruction(word.img, se))
-    return float(int(g.sum()) / g.size)
+    opened = opening_by_reconstruction(word.img, se)
+    # the opening is a union of the word's components: keeping all ink
+    # means it is the word, so the word's own fill serves
+    kept = np.count_nonzero(opened)
+    if kept == 0:
+        area = 0
+    elif kept == sum(c.area for c in word.components):
+        area = word.filled_area
+    else:
+        area = int(fill_holes(opened).sum())
+    return float(area / opened.size)
 
 
 def aar(word: WordImage) -> float:
@@ -104,8 +122,7 @@ def aar(word: WordImage) -> float:
 
 def pixel_ratio(word: WordImage) -> float:
     """Ink fraction of the hole-filled word relative to the crop area."""
-    filled = fill_holes(word.img)
-    return float(int(filled.sum()) / filled.size)
+    return float(word.filled_area / word.img.size)
 
 
 def avg_eccentricity(word: WordImage) -> float:

@@ -3,6 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import knn_oracle
 from scriptid.classifier import (
@@ -108,6 +111,25 @@ def test_knn_matches_full_sort_oracle(rng):
         q = rng.random(8) * 4
         for k in (3, 5, 7):
             assert classify_knn(m, q, k)[0] == knn_oracle(m.vectors, m.labels, q, k)
+
+
+@st.composite
+def grid_models_and_queries(draw):
+    """Integer-grid samples: exact distances, frequent distance and vote ties."""
+    n = draw(st.integers(1, 12))
+    grid = st.integers(-3, 3)
+    vectors = draw(hnp.arrays(np.float64, (n, 8), elements=grid))
+    labels = tuple(draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n)))
+    q = draw(hnp.arrays(np.float64, 8, elements=grid))
+    k = 2 * draw(st.integers(0, (n - 1) // 2)) + 1
+    return Model(vectors=vectors, labels=labels, k=1), q, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=grid_models_and_queries())
+def test_knn_matches_oracle_on_integer_grid(case):
+    m, q, k = case
+    assert classify_knn(m, q, k)[0] == knn_oracle(m.vectors, m.labels, q, k)
 
 
 def test_knn_vote_tie_broken_by_summed_distance():

@@ -1,4 +1,5 @@
 import random
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,45 @@ def test_extract_parallel_equals_serial(tmp_path, small_corpus):
     assert out.read_text() == Path(small_corpus["dump"]).read_text()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_jobs_below_one_is_usage_error(small_corpus, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--jobs", jobs, "extract", str(small_corpus["corpus"])])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_jobs_capped_at_task_count(tmp_path, small_corpus, monkeypatch):
+    workers = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: runs each task in this process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    corpus = tmp_path / "c3"
+    (corpus / "A").mkdir(parents=True)
+    for src in sorted((small_corpus["corpus"] / "Kannada").glob("*.pbm"))[:3]:
+        (corpus / "A" / src.name).write_bytes(src.read_bytes())
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    out = tmp_path / "f.csv"
+    assert cli.main(["--jobs", "5000", "extract", str(corpus), "--out", str(out)]) == 0
+    assert workers == [3]
+    assert len(out.read_text().splitlines()) == 3
+
+
 # ---------------------------------------------------------------- train
 def test_train_reports_class_counts(tmp_path, small_corpus, capsys):
     out = tmp_path / "m.txt"
@@ -307,6 +347,19 @@ def test_classify_page_binarizes_but_does_not_deskew(tmp_path, glyph_bank, small
 
 def test_classify_requires_input(small_corpus, capsys):
     assert cli.main(["classify", "--model", str(small_corpus["model"])]) == 2
+
+
+def test_classify_rejects_words_with_page(tmp_path, glyph_bank, small_corpus, capsys):
+    page, _ = render_page(random.Random(3), glyph_bank, n_lines=1, words_per_line=(2, 2))
+    src = tmp_path / "page.pbm"
+    write_pbm(str(src), page)
+    word = str(next((small_corpus["corpus"] / "Kannada").glob("*.pbm")))
+    capsys.readouterr()
+    args = ["classify", "--model", str(small_corpus["model"]), "--page", str(src), word]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "not both" in err
 
 
 # ---------------------------------------------------------------- evaluate

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import moment_axes
+from scriptid import features
 from scriptid.features import (
     DIRECTIONS,
     FEATURE_NAMES,
@@ -105,6 +109,115 @@ def test_opd_rejects_bad_direction():
     img = np.ones((4, 4), np.uint8)
     with pytest.raises(ValueError):
         opd(word_from(img), 30)
+
+
+# ---------------------------------------------------------------- one hole fill per word
+@st.composite
+def word_images(draw, max_side=32):
+    """Any non-empty binary image, or nested rings with optional speckle."""
+    if draw(st.booleans()):
+        h = draw(st.integers(1, max_side))
+        w = draw(st.integers(1, max_side))
+        img = draw(hnp.arrays(np.uint8, (h, w), elements=st.integers(0, 1)))
+    else:
+        n = draw(st.integers(1, 4))
+        thick = draw(st.integers(1, 3))
+        step = thick + draw(st.integers(1, 3))
+        h = 2 * n * step + draw(st.integers(0, 4))
+        w = 2 * n * step + draw(st.integers(0, 4))
+        pad = draw(st.integers(0, 3))
+        img = np.zeros((h + 2 * pad, w + 2 * pad), np.uint8)
+        for i in range(n):
+            o = pad + i * step
+            img[o : o + h - 2 * i * step, o : o + w - 2 * i * step] = 1
+            img[o + thick : o + h - 2 * i * step - thick, o + thick : o + w - 2 * i * step - thick] = 0
+        specks = st.tuples(st.integers(0, img.shape[0] - 1), st.integers(0, img.shape[1] - 1))
+        for r, c in draw(st.lists(specks, max_size=6)):
+            img[r, c] = 1
+    assume(img.any())
+    return img
+
+
+def thin_ring(h, w):
+    img = np.ones((h, w), np.uint8)
+    img[1:-1, 1:-1] = 0
+    return img
+
+
+def refilled_density(word, direction, length):
+    """The definition: fill the holes of every opening afresh."""
+    g = fill_holes(opening_by_reconstruction(word.img, line_se(direction, length)))
+    return float(int(g.sum()) / g.size)
+
+
+SE_PARAMS = ((0.7, 3), (0.3, 1), (1.0, 5), (1.5, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(img=word_images(), params=st.sampled_from(SE_PARAMS))
+@example(img=np.ones((1, 1), np.uint8), params=(0.7, 3))
+@example(img=np.ones((1, 1), np.uint8), params=(0.3, 1))
+@example(img=np.ones((1, 17), np.uint8), params=(0.7, 3))
+@example(img=np.ones((17, 1), np.uint8), params=(0.3, 1))
+@example(img=np.eye(9, dtype=np.uint8), params=(0.7, 3))
+@example(img=np.eye(9, dtype=np.uint8)[::-1].copy(), params=(1.0, 5))
+@example(img=thin_ring(9, 13), params=(0.7, 3))
+@example(img=thin_ring(3, 3), params=(0.3, 1))
+def test_opd_and_pixel_ratio_match_refill_oracle(img, params):
+    ratio, min_len = params
+    word = word_from(img)
+    length = se_length_for(word, ratio=ratio, min_len=min_len)
+    opds = [opd(word, d, ratio=ratio, min_len=min_len) for d in DIRECTIONS]
+    assert opds == [refilled_density(word, d, length) for d in DIRECTIONS]
+    filled = fill_holes(word.img)
+    pr = pixel_ratio(word)
+    assert pr == float(int(filled.sum()) / filled.size)
+    # the fill of a subset of the word lies inside the word's fill
+    assert all(v <= pr for v in opds)
+
+
+@pytest.fixture
+def fill_calls(monkeypatch):
+    calls = []
+    real = features.fill_holes
+
+    def counting(img):
+        calls.append(img)
+        return real(img)
+
+    monkeypatch.setattr(features, "fill_holes", counting)
+    return calls
+
+
+def opening_kinds(word):
+    """Per direction: 'none', 'all' or 'partial' ink kept by the opening."""
+    length = se_length_for(word)
+    ink = np.count_nonzero(word.img)
+    kinds = []
+    for d in DIRECTIONS:
+        kept = np.count_nonzero(opening_by_reconstruction(word.img, line_se(d, length)))
+        kinds.append("none" if kept == 0 else "all" if kept == ink else "partial")
+    return kinds
+
+
+def test_clean_word_fills_holes_once(fill_calls):
+    word = word_from(thin_ring(12, 12) | np.pad(thin_ring(10, 10), 1))  # 2-px-thick ring
+    assert opening_kinds(word) == ["all", "none", "all", "none"]
+    extract_features(word)
+    assert len(fill_calls) == 1
+    extract_features(word)  # the fill is cached on the word
+    assert len(fill_calls) == 1
+
+
+def test_speckled_word_refills_only_partial_openings(fill_calls):
+    img = np.zeros((12, 16), np.uint8)
+    img[:, :12] = thin_ring(12, 12) | np.pad(thin_ring(10, 10), 1)
+    img[11, 15] = 1  # the speck survives no opening
+    word = word_from(img)
+    kinds = opening_kinds(word)
+    assert kinds == ["partial", "none", "partial", "none"]
+    extract_features(word)
+    assert len(fill_calls) == 1 + kinds.count("partial")
 
 
 # ---------------------------------------------------------------- regional features
