@@ -43,8 +43,6 @@ class Model:
     vectors: np.ndarray  # (n, 8) float64
     labels: tuple[str, ...]
     k: int = 3
-    feature_order: tuple[str, ...] = FEATURE_NAMES
-    version: int = MODEL_VERSION
     label_set: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
@@ -57,8 +55,6 @@ class Model:
             raise ValueError("feature vectors must be finite (no nan or inf)")
         if len(self.labels) != v.shape[0]:
             raise ValueError("one label per sample required")
-        if self.feature_order != FEATURE_NAMES:
-            raise ValueError(f"feature order must be {FEATURE_NAMES}")
         if not 1 <= self.k <= v.shape[0]:
             raise ValueError(f"k={self.k} must lie in 1..{v.shape[0]}")
         if self.k % 2 == 0:
@@ -192,9 +188,9 @@ def save_model(path: str, model: Model) -> None:
         if any(ch in lab for ch in ",=\n\r"):
             raise ValueError(f"label {lab!r} contains reserved characters")
     lines = [
-        f"version={model.version}",
+        f"version={MODEL_VERSION}",
         f"k={model.k}",
-        "features=" + ",".join(model.feature_order),
+        "features=" + ",".join(FEATURE_NAMES),
         "normalization=none",
     ]
     for vec, lab in zip(model.vectors, model.labels):
@@ -252,7 +248,6 @@ def load_model(path: str) -> Model:
             vectors=np.array(vectors, dtype=np.float64),
             labels=tuple(labels),
             k=k,
-            feature_order=feature_order,
         )
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None

@@ -23,18 +23,13 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from scriptid._util import crop_to_ink, round_half_up
-from scriptid.imaging import (
-    ComponentStats,
-    as_binary,
-    component_eccentricity,
-    component_extent,
-    connected_components,
-)
+from scriptid.imaging import Components, as_binary, connected_components
 from scriptid.morphology import fill_holes, line_se, opening_by_reconstruction
 
 __all__ = [
@@ -56,27 +51,28 @@ FEATURE_NAMES = ("opd_0", "opd_45", "opd_90", "opd_135", "aar", "pr", "ecc", "ex
 DIRECTIONS = (0, 45, 90, 135)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WordImage:
     """A word crop plus its connected components.
 
     ``img`` is the tight ink crop (first/last rows and columns contain
-    ink); ``components`` are its 8-connected components.  Construct via
-    :meth:`from_image`, which rejects empty images.
+    ink); ``components`` is the geometry of its 8-connected components.
+    Construct via :meth:`from_image`, which rejects empty images.  Words
+    compare by identity.
     """
 
     img: np.ndarray
-    components: tuple[ComponentStats, ...] = field(repr=False)
+    components: Components = field(repr=False)
 
     @classmethod
     def from_image(cls, img) -> "WordImage":
         crop = crop_to_ink(as_binary(img))
         if crop is None:
             raise ValueError("word image contains no ink")
-        stats, _ = connected_components(crop, connectivity=8)
+        components, _ = connected_components(crop, connectivity=8)
         view = crop.view()
         view.flags.writeable = False
-        return cls(img=view, components=tuple(stats))
+        return cls(img=view, components=components)
 
     @functools.cached_property
     def filled_area(self) -> int:
@@ -90,7 +86,8 @@ def se_length_for(word: WordImage, ratio: float = 0.7, min_len: int = 3) -> int:
     Rounded half-up, floored at ``min_len``, bumped up to odd so the SE
     stays centered.  One length is shared by all four directions.
     """
-    mean_h = sum(c.bbox_height for c in word.components) / len(word.components)
+    boxes = word.components.bbox.tolist()
+    mean_h = sum(r1 - r0 + 1 for r0, _, r1, _ in boxes) / len(boxes)
     length = round_half_up(ratio * mean_h)
     if length < min_len:
         length = min_len
@@ -108,16 +105,23 @@ def opd(word: WordImage, direction: int, ratio: float = 0.7, min_len: int = 3) -
     kept = np.count_nonzero(opened)
     if kept == 0:
         area = 0
-    elif kept == sum(c.area for c in word.components):
+    elif kept == sum(word.components.area.tolist()):
         area = word.filled_area
     else:
         area = int(fill_holes(opened).sum())
     return float(area / opened.size)
 
 
+def _mean(values: list[float]) -> float:
+    # left to right: sum() compensates float adds from CPython 3.12 on,
+    # which would tie feature bytes to the interpreter version
+    return functools.reduce(operator.add, values) / len(values)
+
+
 def aar(word: WordImage) -> float:
     """Average over components of bounding-box height / width."""
-    return sum(c.bbox_height / c.bbox_width for c in word.components) / len(word.components)
+    boxes = word.components.bbox.tolist()
+    return _mean([(r1 - r0 + 1) / (c1 - c0 + 1) for r0, c0, r1, c1 in boxes])
 
 
 def pixel_ratio(word: WordImage) -> float:
@@ -126,13 +130,22 @@ def pixel_ratio(word: WordImage) -> float:
 
 
 def avg_eccentricity(word: WordImage) -> float:
-    """Average minor/major axis ratio over components."""
-    return sum(component_eccentricity(c) for c in word.components) / len(word.components)
+    """Average minor/major axis ratio over components, in [0, 1].
+
+    This is the axis-length ratio itself, not the conventional ellipse
+    eccentricity sqrt(1 - (b/a)^2): round components score near 1,
+    elongated ones near 0, and a single pixel scores exactly 1.
+    """
+    comps = word.components
+    axes = zip(comps.minor_axis_len.tolist(), comps.major_axis_len.tolist())
+    return _mean([minor / major for minor, major in axes])
 
 
 def avg_extent(word: WordImage) -> float:
-    """Average bounding-box coverage over components."""
-    return sum(component_extent(c) for c in word.components) / len(word.components)
+    """Average fraction of its bounding box a component covers, in (0, 1]."""
+    comps = word.components
+    boxes = zip(comps.area.tolist(), comps.bbox.tolist())
+    return _mean([a / ((r1 - r0 + 1) * (c1 - c0 + 1)) for a, (r0, c0, r1, c1) in boxes])
 
 
 def extract_features(word: WordImage, ratio: float = 0.7, min_len: int = 3) -> np.ndarray:

@@ -18,12 +18,10 @@ from scipy import ndimage as ndi
 from scriptid._util import label_structure
 
 __all__ = [
-    "ComponentStats",
+    "Components",
     "as_binary",
     "as_gray",
     "binarize",
-    "component_eccentricity",
-    "component_extent",
     "connected_components",
     "otsu_threshold",
     "remove_small_objects",
@@ -66,31 +64,27 @@ def as_binary(img) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class ComponentStats:
-    """Geometry of one connected component.
+@dataclass(frozen=True, eq=False)
+class Components:
+    """Geometry of a label map's connected components, one row per label.
 
-    ``bbox`` is (row_min, col_min, row_max, col_max), inclusive.  Axis
-    lengths come from the component's equivalent ellipse: the 2x2
-    covariance of its pixel coordinates gets a +1/12 per-pixel
-    correction (a pixel is a unit square, not a point), and each axis
-    is 4*sqrt(eigenvalue).  A single pixel therefore has equal axes.
+    Entry ``i`` of every array describes label ``i + 1``.  ``bbox`` rows
+    are (row_min, col_min, row_max, col_max), inclusive; ``centroid``
+    rows are (row, col).  Axis lengths come from each component's
+    equivalent ellipse: the 2x2 covariance of its pixel coordinates gets
+    a +1/12 per-pixel correction (a pixel is a unit square, not a
+    point), and each axis is 4*sqrt(eigenvalue).  A single pixel
+    therefore has equal axes.
     """
 
-    id: int
-    area: int
-    bbox: tuple[int, int, int, int]
-    centroid: tuple[float, float]
-    major_axis_len: float
-    minor_axis_len: float
+    area: np.ndarray  # (n,) int
+    bbox: np.ndarray  # (n, 4) int
+    centroid: np.ndarray  # (n, 2) float64
+    major_axis_len: np.ndarray  # (n,) float64
+    minor_axis_len: np.ndarray  # (n,) float64
 
-    @property
-    def bbox_height(self) -> int:
-        return self.bbox[2] - self.bbox[0] + 1
-
-    @property
-    def bbox_width(self) -> int:
-        return self.bbox[3] - self.bbox[1] + 1
+    def __len__(self) -> int:
+        return len(self.area)
 
 
 def otsu_threshold(img) -> int:
@@ -137,37 +131,46 @@ def binarize(img, t: int) -> np.ndarray:
     return (g <= t).astype(np.uint8)
 
 
-def connected_components(img, connectivity: int = 8) -> tuple[list[ComponentStats], np.ndarray]:
+def connected_components(img, connectivity: int = 8) -> tuple[Components, np.ndarray]:
     """Label maximal connected sets of 1-pixels.
 
     Labels run from 1 in raster-scan order of each component's first
     pixel.  That order is ``ndi.label``'s own (its union-find keeps the
     smallest label as root and numbers roots in increasing order), and
     the tests pin it against a flood-fill oracle.  Returns the
-    per-component stats and the int32 label map.
+    per-label geometry and the int32 label map.
     """
     b = as_binary(img)
     labels, n = ndi.label(b, structure=label_structure(connectivity))
-    return _component_stats(labels, n), labels
+    return _components(labels, n), labels
 
 
-def _component_stats(labels: np.ndarray, n: int) -> list[ComponentStats]:
+def _components(labels: np.ndarray, n: int) -> Components:
     h, w = labels.shape
     flat = labels.ravel()
     idx = np.flatnonzero(flat)
-    lab = flat[idx]
-    rows = (idx // w).astype(np.float64)
-    cols = (idx % w).astype(np.float64)
+    # intp once: bincount and ufunc.at would each convert int32 labels again
+    lab = flat[idx].astype(np.intp)
+    rows, cols = np.divmod(idx, w)
 
+    # rows: row_min, col_min, row_max, col_max; one column per label, 0 = background
+    bounds = np.array([h, w, -1, -1]).repeat(n + 1).reshape(4, n + 1)
+    np.minimum.at(bounds[0], lab, rows)
+    np.minimum.at(bounds[1], lab, cols)
+    np.maximum.at(bounds[2], lab, rows)
+    np.maximum.at(bounds[3], lab, cols)
+
+    # float once: bincount would convert integer weights on every call
+    rows = rows.astype(np.float64)
+    cols = cols.astype(np.float64)
     area = np.bincount(lab, minlength=n + 1)[1:]
-    sum_r = np.bincount(lab, weights=rows, minlength=n + 1)[1:]
-    sum_c = np.bincount(lab, weights=cols, minlength=n + 1)[1:]
-    mean_r = sum_r / area
-    mean_c = sum_c / area
+    mean_r = np.bincount(lab, weights=rows, minlength=n + 1)[1:] / area
+    mean_c = np.bincount(lab, weights=cols, minlength=n + 1)[1:] / area
 
     # centered second moments (computed from residuals for accuracy)
-    dr = rows - mean_r[lab - 1]
-    dc = cols - mean_c[lab - 1]
+    slot = lab - 1
+    dr = rows - mean_r[slot]
+    dc = cols - mean_c[slot]
     mu_rr = np.bincount(lab, weights=dr * dr, minlength=n + 1)[1:] / area + 1.0 / 12.0
     mu_cc = np.bincount(lab, weights=dc * dc, minlength=n + 1)[1:] / area + 1.0 / 12.0
     mu_rc = np.bincount(lab, weights=dr * dc, minlength=n + 1)[1:] / area
@@ -175,39 +178,13 @@ def _component_stats(labels: np.ndarray, n: int) -> list[ComponentStats]:
     common = np.sqrt((mu_rr - mu_cc) ** 2 + 4.0 * mu_rc**2)
     lam1 = (mu_rr + mu_cc + common) / 2.0
     lam2 = np.maximum((mu_rr + mu_cc - common) / 2.0, 0.0)
-    major = 4.0 * np.sqrt(lam1)
-    minor = 4.0 * np.sqrt(lam2)
-
-    slices = ndi.find_objects(labels, max_label=n)
-    stats = []
-    for i in range(n):
-        sl = slices[i]
-        stats.append(
-            ComponentStats(
-                id=i + 1,
-                area=int(area[i]),
-                bbox=(sl[0].start, sl[1].start, sl[0].stop - 1, sl[1].stop - 1),
-                centroid=(float(mean_r[i]), float(mean_c[i])),
-                major_axis_len=float(major[i]),
-                minor_axis_len=float(minor[i]),
-            )
-        )
-    return stats
-
-
-def component_eccentricity(c: ComponentStats) -> float:
-    """Minor-axis length over major-axis length, in [0, 1].
-
-    Note this is the axis-length ratio itself, not the conventional
-    ellipse eccentricity sqrt(1 - (b/a)^2); round components score near
-    1, elongated ones near 0.  A single pixel scores exactly 1.
-    """
-    return c.minor_axis_len / c.major_axis_len
-
-
-def component_extent(c: ComponentStats) -> float:
-    """Fraction of the bounding box covered by the component, in (0, 1]."""
-    return c.area / float(c.bbox_height * c.bbox_width)
+    return Components(
+        area=area,
+        bbox=bounds[:, 1:].T,
+        centroid=np.column_stack((mean_r, mean_c)),
+        major_axis_len=4.0 * np.sqrt(lam1),
+        minor_axis_len=4.0 * np.sqrt(lam2),
+    )
 
 
 def remove_small_objects(img, min_area: int = 15) -> np.ndarray:

@@ -128,16 +128,13 @@ def rotate_binary(img, degrees: float) -> np.ndarray:
     a = math.radians(degrees)
     cos_a, sin_a = math.cos(a), math.sin(a)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rr, cc = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    dy = rr - cy
-    dx = cc - cx
-    # content rotated by +degrees: sample the source at the inverse rotation
-    src_r = np.rint(cos_a * dy + sin_a * dx + cy).astype(np.int64)
-    src_c = np.rint(-sin_a * dy + cos_a * dx + cx).astype(np.int64)
-    valid = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
-    out = np.zeros_like(b)
-    out[valid] = b[src_r[valid], src_c[valid]]
-    return out
+    dy = np.arange(h, dtype=np.float64)[:, None] - cy
+    dx = np.arange(w, dtype=np.float64) - cx
+    # content rotated by +degrees: sample the source at the inverse rotation;
+    # a source outside the input lands on the zero border of the padded copy
+    src_r = np.rint(cos_a * dy + sin_a * dx + cy).astype(np.intp).clip(-1, h)
+    src_c = np.rint(-sin_a * dy + cos_a * dx + cx).astype(np.intp).clip(-1, w)
+    return np.pad(b, 1).take((src_r + 1) * (w + 2) + (src_c + 1))
 
 
 def _alignment_score(drow: np.ndarray, dcol: np.ndarray, degrees: float) -> float:
@@ -191,13 +188,11 @@ def deskew(
     # vertical dilation: rows -(L//2) .. L-L//2-1 around each pixel, so an
     # even length reaches one row further up than down
     blobs = ndi.maximum_filter1d(b, dilate_len, axis=0, mode="constant", cval=0)
-    stats, labels = connected_components(blobs, connectivity=8)
-    keep = [c.id for c in stats if c.area >= min_area]
-    if len(keep) < 2:
+    components, labels = connected_components(blobs, connectivity=8)
+    keep = np.concatenate(([False], components.area >= min_area))  # indexed by label
+    if np.count_nonzero(keep) < 2:
         return b.copy(), 0.0
-    keep_mask = np.zeros(len(stats) + 1, dtype=bool)
-    keep_mask[keep] = True
-    rr, cc = np.nonzero(keep_mask[labels] & (b == 1))
+    rr, cc = np.nonzero(keep[labels] & (b == 1))
     if rr.size > 30000:  # plenty for the variance signal
         sel = np.linspace(0, rr.size - 1, 30000).astype(np.int64)
         rr, cc = rr[sel], cc[sel]

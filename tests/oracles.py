@@ -88,6 +88,30 @@ def naive_vertical_dilation(img: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
+def naive_rotate(img: np.ndarray, degrees: float) -> np.ndarray:
+    """Nearest-neighbor rotation about the center through a full coordinate grid.
+
+    Every output pixel samples the input at the inverse rotation; a
+    sample outside the input is background.
+    """
+    img = np.asarray(img)
+    if degrees == 0.0:
+        return img.copy()
+    h, w = img.shape
+    a = math.radians(degrees)
+    cos_a, sin_a = math.cos(a), math.sin(a)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rr, cc = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    dy = rr - cy
+    dx = cc - cx
+    src_r = np.rint(cos_a * dy + sin_a * dx + cy).astype(np.int64)
+    src_c = np.rint(-sin_a * dy + cos_a * dx + cx).astype(np.int64)
+    valid = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
+    out = np.zeros_like(img)
+    out[valid] = img[src_r[valid], src_c[valid]]
+    return out
+
+
 def _shift_or(img: np.ndarray, connectivity: int) -> np.ndarray:
     h, w = img.shape
     out = img.copy()

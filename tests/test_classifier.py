@@ -286,6 +286,8 @@ def test_model_round_trip_bytes_stable(tmp_path, rng):
     back = load_model(p1)
     save_model(p2, back)
     assert Path(p1).read_bytes() == Path(p2).read_bytes()
+    head = Path(p1).read_text().splitlines()[:3]
+    assert head == ["version=1", f"k={m.k}", "features=" + ",".join(FEATURE_NAMES)]
     assert back.labels == m.labels
     assert back.k == m.k
     assert np.array_equal(back.vectors, m.vectors)

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import moment_axes
+from oracles import flood_components, moment_axes
 from scriptid import features
 from scriptid.features import (
     DIRECTIONS,
@@ -47,6 +49,42 @@ def test_word_image_crops_tight():
 def test_word_image_rejects_empty():
     with pytest.raises(ValueError):
         word_from(np.zeros((5, 5), np.uint8))
+
+
+def test_word_images_compare_by_identity():
+    a = word_from(np.ones((3, 4)))
+    b = word_from(np.ones((3, 4)))
+    assert a == a
+    assert a != b
+
+
+@st.composite
+def thin_words(draw, max_len=40):
+    """1x1, 1xN, Nx1 and 1-px diagonal words, with gaps along the stroke."""
+    n = draw(st.integers(1, max_len))
+    ink = draw(hnp.arrays(np.uint8, n, elements=st.integers(0, 1)))
+    assume(ink.any())
+    shape = draw(st.sampled_from(("row", "column", "diagonal", "antidiagonal")))
+    if shape == "row":
+        return ink[None, :]
+    if shape == "column":
+        return ink[:, None]
+    diag = np.diag(ink)
+    return diag if shape == "diagonal" else diag[:, ::-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(img=thin_words())
+@example(img=np.ones((1, 1), np.uint8))
+def test_word_image_components_match_flood_fill_on_thin_words(img):
+    w = word_from(img)
+    oracle = flood_components(w.img, connectivity=8)
+    assert len(w.components) == len(oracle)
+    for i, pixels in enumerate(oracle):
+        rows = [p[0] for p in pixels]
+        cols = [p[1] for p in pixels]
+        assert w.components.area[i] == len(pixels)
+        assert w.components.bbox[i].tolist() == [min(rows), min(cols), max(rows), max(cols)]
 
 
 # ---------------------------------------------------------------- SE length
@@ -272,6 +310,28 @@ def test_avg_extent_rect_and_plus():
     plus[1, :] = 1
     plus[:, 1] = 1
     assert avg_extent(word_from(plus)) == pytest.approx(5 / 9)
+
+
+def _fold_mean(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def test_regional_means_fold_left_to_right():
+    # dot, 1x3 bar, dot: a compensated sum (CPython 3.12+ sum()) of
+    # 1.0 + 1/3 + 1.0 lands one ulp away from the left-to-right fold, so
+    # feature bytes would depend on the interpreter version
+    assert _fold_mean([1.0, 1 / 3, 1.0]) != math.fsum([1.0, 1 / 3, 1.0]) / 3
+    w = word_from([[1, 0, 1, 1, 1, 0, 1]])
+    c = w.components
+    assert c.bbox.tolist() == [[0, 0, 0, 0], [0, 2, 0, 4], [0, 6, 0, 6]]
+    assert aar(w) == _fold_mean([1 / 1, 1 / 3, 1 / 1])
+    ecc = [minor / major for minor, major in zip(c.minor_axis_len.tolist(), c.major_axis_len.tolist())]
+    assert ecc[0] == ecc[2] == 1.0
+    assert avg_eccentricity(w) == _fold_mean(ecc)
+    assert avg_extent(w) == _fold_mean([1 / 1, 3 / 3, 1 / 1])
 
 
 # ---------------------------------------------------------------- extract

@@ -9,8 +9,6 @@ from scriptid.imaging import (
     as_binary,
     as_gray,
     binarize,
-    component_eccentricity,
-    component_extent,
     connected_components,
     otsu_threshold,
     remove_small_objects,
@@ -95,8 +93,10 @@ def test_binarize_monotone_in_threshold(rng):
 
 # ---------------------------------------------------------------- components
 def test_components_empty_image():
-    stats, labels = connected_components(np.zeros((5, 5), np.uint8))
-    assert stats == []
+    comps, labels = connected_components(np.zeros((5, 5), np.uint8))
+    assert len(comps) == 0
+    assert comps.bbox.shape == (0, 4)
+    assert comps.centroid.shape == (0, 2)
     assert not labels.any()
 
 
@@ -125,26 +125,26 @@ def ink_images(draw, max_side=40):
 @example(img=np.eye(5, dtype=np.uint8)[::-1], conn=4)
 @example(img=np.zeros((3, 2), np.uint8), conn=8)
 def test_components_match_flood_fill_oracle(img, conn):
-    stats, labels = connected_components(img, connectivity=conn)
+    comps, labels = connected_components(img, connectivity=conn)
     oracle = flood_components(img, connectivity=conn)
     assert labels.dtype == np.int32
     assert np.array_equal(labels > 0, img == 1)
-    assert len(stats) == len(oracle)
-    # the oracle lists components by raster-first pixel, so this pins the order
-    for k, (c, pixels) in enumerate(zip(stats, oracle), start=1):
-        assert c.id == k
-        assert set(zip(*np.nonzero(labels == k))) == pixels
-        assert c.area == len(pixels)
+    assert len(comps) == len(oracle)
+    # the oracle lists components by raster-first pixel, so this pins the
+    # order; entry i describes label i + 1
+    for i, pixels in enumerate(oracle):
+        assert set(zip(*np.nonzero(labels == i + 1))) == pixels
+        assert comps.area[i] == len(pixels)
         rows = [p[0] for p in pixels]
         cols = [p[1] for p in pixels]
-        assert c.bbox == (min(rows), min(cols), max(rows), max(cols))
+        assert comps.bbox[i].tolist() == [min(rows), min(cols), max(rows), max(cols)]
 
 
 def test_components_labels_partition_ink(rng):
     img = (rng.random((40, 40)) < 0.3).astype(np.uint8)
-    stats, labels = connected_components(img)
+    comps, labels = connected_components(img)
     assert np.array_equal(labels > 0, img == 1)
-    assert sum(c.area for c in stats) == int(img.sum())
+    assert comps.area.sum() == img.sum()
 
 
 def test_components_raster_discovery_order(rng):
@@ -162,19 +162,28 @@ def test_components_rejects_bad_connectivity():
 
 # ---------------------------------------------------------------- geometry
 def _single_component(img):
-    stats, _ = connected_components(np.asarray(img, dtype=np.uint8))
-    assert len(stats) == 1
-    return stats[0]
+    comps, _ = connected_components(np.asarray(img, dtype=np.uint8))
+    assert len(comps) == 1
+    return comps
+
+
+def _eccentricity(comps):
+    return comps.minor_axis_len / comps.major_axis_len
+
+
+def _extent(comps):
+    r0, c0, r1, c1 = comps.bbox.T
+    return comps.area / ((r1 - r0 + 1) * (c1 - c0 + 1))
 
 
 def test_eccentricity_single_pixel_is_one():
     c = _single_component([[0, 0], [0, 1]])
-    assert component_eccentricity(c) == pytest.approx(1.0)
+    assert _eccentricity(c)[0] == pytest.approx(1.0)
 
 
 def test_eccentricity_filled_square_is_one():
     c = _single_component(np.ones((9, 9)))
-    assert component_eccentricity(c) == pytest.approx(1.0)
+    assert _eccentricity(c)[0] == pytest.approx(1.0)
 
 
 def test_eccentricity_bar_matches_moment_oracle():
@@ -182,9 +191,9 @@ def test_eccentricity_bar_matches_moment_oracle():
     img[1, 1:11] = 1
     c = _single_component(img)
     major, minor = moment_axes(list(zip(*np.nonzero(img))))
-    assert c.major_axis_len == pytest.approx(major, rel=1e-12)
-    assert c.minor_axis_len == pytest.approx(minor, rel=1e-12)
-    assert component_eccentricity(c) == pytest.approx(minor / major, rel=1e-12)
+    assert c.major_axis_len[0] == pytest.approx(major, rel=1e-12)
+    assert c.minor_axis_len[0] == pytest.approx(minor, rel=1e-12)
+    assert _eccentricity(c)[0] == pytest.approx(minor / major, rel=1e-12)
 
 
 def test_axis_lengths_match_oracle_on_random_blobs(rng):
@@ -192,32 +201,31 @@ def test_axis_lengths_match_oracle_on_random_blobs(rng):
         img = (rng.random((20, 20)) < 0.3).astype(np.uint8)
         if not img.any():
             continue
-        stats, labels = connected_components(img)
-        for c in stats:
-            pixels = list(zip(*np.nonzero(labels == c.id)))
+        comps, labels = connected_components(img)
+        for i in range(len(comps)):
+            pixels = list(zip(*np.nonzero(labels == i + 1)))
             major, minor = moment_axes(pixels)
-            assert c.major_axis_len == pytest.approx(major, rel=1e-9)
-            assert c.minor_axis_len == pytest.approx(minor, rel=1e-9)
+            assert comps.major_axis_len[i] == pytest.approx(major, rel=1e-9)
+            assert comps.minor_axis_len[i] == pytest.approx(minor, rel=1e-9)
 
 
 def test_geometry_ranges_on_random_images(rng):
     for _ in range(50):
         img = (rng.random((24, 24)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
-        stats, _ = connected_components(img)
-        for c in stats:
-            assert 0.0 <= component_eccentricity(c) <= 1.0 + 1e-12
-            assert 0.0 < component_extent(c) <= 1.0
-            assert c.minor_axis_len <= c.major_axis_len + 1e-12
-            assert c.bbox[0] <= c.centroid[0] <= c.bbox[2]
-            assert c.bbox[1] <= c.centroid[1] <= c.bbox[3]
+        c, _ = connected_components(img)
+        assert (0.0 <= _eccentricity(c)).all() and (_eccentricity(c) <= 1.0 + 1e-12).all()
+        assert (0.0 < _extent(c)).all() and (_extent(c) <= 1.0).all()
+        assert (c.minor_axis_len <= c.major_axis_len + 1e-12).all()
+        assert ((c.bbox[:, 0] <= c.centroid[:, 0]) & (c.centroid[:, 0] <= c.bbox[:, 2])).all()
+        assert ((c.bbox[:, 1] <= c.centroid[:, 1]) & (c.centroid[:, 1] <= c.bbox[:, 3])).all()
 
 
 def test_extent_trivial_cases():
-    assert component_extent(_single_component(np.ones((4, 7)))) == pytest.approx(1.0)
+    assert _extent(_single_component(np.ones((4, 7))))[0] == pytest.approx(1.0)
     plus = np.zeros((3, 3), np.uint8)
     plus[1, :] = 1
     plus[:, 1] = 1
-    assert component_extent(_single_component(plus)) == pytest.approx(5 / 9)
+    assert _extent(_single_component(plus))[0] == pytest.approx(5 / 9)
 
 
 # ---------------------------------------------------------------- despeckle

@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import scriptid.segmentation as segmentation
-from oracles import naive_vertical_dilation
+from oracles import naive_rotate, naive_vertical_dilation
 from scriptid.corpus import render_page
 from scriptid.segmentation import (
     LineBand,
@@ -148,6 +151,25 @@ def test_rotate_round_trip_center_block():
     back = rotate_binary(rotate_binary(img, 9.0), -9.0)
     # nearest-neighbor round trip matches up to 1-px edge jitter
     assert (img & back).sum() >= 0.85 * img.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    img=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=59),
+                   elements=st.integers(0, 1)),
+    degrees=st.one_of(
+        st.integers(-200, 200).map(lambda k: k / 10),  # the deskew search grid
+        st.integers(-90, 90).map(float),
+        st.floats(-20.0, 20.0),
+    ),
+)
+@example(img=np.ones((1, 1), np.uint8), degrees=45.0)
+@example(img=np.ones((1, 7), np.uint8), degrees=90.0)
+@example(img=np.ones((6, 9), np.uint8), degrees=-17.3)
+def test_rotate_matches_naive_oracle(img, degrees):
+    out = rotate_binary(img, degrees)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, naive_rotate(img, degrees))
 
 
 # ---------------------------------------------------------------- deskew
