@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -242,9 +243,16 @@ def generate_corpus(
     single-glyph words.  ``skew`` rotates each word by a uniform random
     angle up to +-skew degrees; ``noise`` flips background pixels to ink
     with the given probability.  Fixed seed -> byte-identical corpus.
+    Bad arguments raise ``ValueError`` before anything is written.
     """
     if per_class < 1:
         raise ValueError(f"per_class must be >= 1, got {per_class}")
+    if not 1 <= heights[0] <= heights[1]:
+        raise ValueError(f"heights must satisfy 1 <= min <= max, got {heights[0]}..{heights[1]}")
+    if not (math.isfinite(skew) and skew >= 0.0):
+        raise ValueError(f"skew must be a finite angle >= 0, got {skew}")
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"noise must be a probability in [0, 1], got {noise}")
     bank = load_glyphs(glyph_root)
     out_root = Path(out_root)
     rng = random.Random(seed)

@@ -119,8 +119,11 @@ def rotate_binary(img, degrees: float) -> np.ndarray:
     """Rotate a binary raster about its center, nearest-neighbor sampling.
 
     Output has the same dimensions; pixels whose source falls outside
-    the input are background.  Values stay in {0, 1}.
+    the input are background.  Values stay in {0, 1}.  A non-finite
+    angle raises ``ValueError``.
     """
+    if not math.isfinite(degrees):
+        raise ValueError(f"rotation angle must be finite, got {degrees}")
     b = as_binary(img)
     if degrees == 0.0:
         return b.copy()

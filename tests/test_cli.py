@@ -416,6 +416,22 @@ def test_gen_corpus_perturbation_flags(tmp_path, capsys):
     assert len(list((out / "Kannada").glob("*.pbm"))) == 4
 
 
+@pytest.mark.parametrize("flags", [
+    ["--min-height", "40", "--max-height", "20"],
+    ["--min-height", "0"],
+    ["--skew", "nan"],
+    ["--skew", "inf"],
+    ["--skew", "-5"],
+    ["--noise", "1.5"],
+    ["--noise", "-0.5"],
+])
+def test_gen_corpus_bad_ranges_fail_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "x"
+    assert cli.main(["gen-corpus", "--out", str(out), "--per-class", "3", *flags]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_corpus_missing_glyph_dir(tmp_path, capsys):
     code = cli.main(
         ["gen-corpus", "--out", str(tmp_path / "x"), "--per-class", "3", "--glyphs",

@@ -156,6 +156,28 @@ def test_generate_corpus_rejects_bad_args(tmp_path):
         generate_corpus(tmp_path / "x", per_class=0, seed=1)
 
 
+@pytest.mark.parametrize("bad", [
+    {"heights": (40, 20)},
+    {"heights": (0, 20)},
+    {"skew": float("nan")},
+    {"skew": float("inf")},
+    {"skew": -5.0},
+    {"noise": 1.5},
+    {"noise": -0.5},
+    {"noise": float("nan")},
+])
+def test_generate_corpus_rejects_bad_args_before_writing(tmp_path, bad):
+    kwargs = {"per_class": 2, "seed": 1, **bad}
+    with pytest.raises(ValueError):
+        generate_corpus(tmp_path / "x", **kwargs)
+    assert not (tmp_path / "x").exists()
+
+
+def test_generate_corpus_accepts_range_edges(tmp_path):
+    rows = generate_corpus(tmp_path / "x", per_class=2, seed=1, heights=(1, 1), noise=1.0)
+    assert {height for _, _, _, height, _ in rows} == {1}
+
+
 def test_digit_words_have_tall_aspect(glyph_bank):
     # numeral glyphs are built around tall strokes, so per-component
     # height/width averages above 1 across the whole scale range

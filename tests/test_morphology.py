@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy import ndimage as ndi
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import (
     background_touches_border,
+    filter_line,
     flood_components,
     iterative_reconstruct,
     naive_dilate,
@@ -366,6 +368,40 @@ def test_dilate_matches_naive_oracle(img, direction, length):
     out = dilate(img, se)
     assert out.dtype == np.uint8
     assert np.array_equal(out, naive_dilate(img, se.offsets))
+
+
+@st.composite
+def large_line_cases(draw):
+    """(image, SE) up to 300 px a side; lengths run past both sides and
+    hit the window-doubling edges 2^k - 1, 2^k + 1 and 1."""
+    h, w = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    img = (rng.random((h, w)) < draw(st.floats(0.0, 1.0))).astype(np.uint8)
+    if draw(st.booleans()):
+        img.setflags(write=False)
+    length = draw(st.one_of(
+        st.integers(0, max(h, w) + 1).map(lambda k: 2 * k + 1),
+        st.sampled_from([2**k + e for k in range(1, 10) for e in (-1, 1)]),
+        st.just(1),
+    ))
+    return img, line_se(draw(st.sampled_from((0, 45, 90, 135))), length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=large_line_cases())
+@example(case=(np.ones((300, 300), np.uint8), line_se(45, 1)))
+@example(case=(np.ones((1, 300), np.uint8), line_se(0, 255)))
+@example(case=(np.ones((300, 1), np.uint8), line_se(90, 257)))
+@example(case=(np.ones((200, 120), np.uint8), line_se(135, 127)))
+@example(case=(np.ones((120, 200), np.uint8), line_se(45, 129)))
+def test_erode_dilate_match_running_filter_on_large_images(case):
+    img, se = case
+    for op, filter1d in ((erode, ndi.minimum_filter1d), (dilate, ndi.maximum_filter1d)):
+        out = op(img, se)
+        assert out.dtype == np.uint8 and out.shape == img.shape
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert not np.shares_memory(out, img)
+        assert np.array_equal(out, filter_line(img, se, filter1d)), (op.__name__, img.shape, se.length)
 
 
 @props

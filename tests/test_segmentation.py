@@ -139,6 +139,12 @@ def test_rotate_zero_is_copy(rng):
     assert out is not img
 
 
+@pytest.mark.parametrize("degrees", [float("nan"), float("inf"), float("-inf")])
+def test_rotate_rejects_non_finite_angle(degrees):
+    with pytest.raises(ValueError, match="finite"):
+        rotate_binary(np.ones((5, 5), np.uint8), degrees)
+
+
 def test_rotate_stays_binary(rng):
     img = (rng.random((20, 20)) < 0.5).astype(np.uint8)
     out = rotate_binary(img, 13.7)
