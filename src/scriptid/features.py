@@ -30,7 +30,12 @@ import numpy as np
 
 from scriptid._util import crop_to_ink, round_half_up
 from scriptid.imaging import Components, as_binary, connected_components
-from scriptid.morphology import fill_holes, line_se, opening_by_reconstruction
+from scriptid.morphology import (
+    StructuringElement,
+    fill_holes,
+    line_se,
+    opening_by_reconstruction,
+)
 
 __all__ = [
     "DIRECTIONS",
@@ -98,7 +103,10 @@ def se_length_for(word: WordImage, ratio: float = 0.7, min_len: int = 3) -> int:
 
 def opd(word: WordImage, direction: int, ratio: float = 0.7, min_len: int = 3) -> float:
     """Directional on-pixel density after reconstruction and hole fill."""
-    se = line_se(direction, se_length_for(word, ratio=ratio, min_len=min_len))
+    return _opd(word, line_se(direction, se_length_for(word, ratio=ratio, min_len=min_len)))
+
+
+def _opd(word: WordImage, se: StructuringElement) -> float:
     opened = opening_by_reconstruction(word.img, se)
     # the opening is a union of the word's components: keeping all ink
     # means it is the word, so the word's own fill serves
@@ -150,7 +158,8 @@ def avg_extent(word: WordImage) -> float:
 
 def extract_features(word: WordImage, ratio: float = 0.7, min_len: int = 3) -> np.ndarray:
     """All 8 features in canonical order as a float64 vector."""
-    vec = [opd(word, d, ratio=ratio, min_len=min_len) for d in DIRECTIONS]
+    length = se_length_for(word, ratio=ratio, min_len=min_len)
+    vec = [_opd(word, line_se(d, length)) for d in DIRECTIONS]
     vec += [aar(word), pixel_ratio(word), avg_eccentricity(word), avg_extent(word)]
     return np.array(vec, dtype=np.float64)
 

@@ -6,11 +6,18 @@ intensities (0 = black, 255 = white); a binary image holds labels
 validators below check those invariants and hand back read-only views;
 every operation in the package is a pure function of its inputs, so
 images can be processed in parallel without coordination.
+
+``connected_components`` labels once and counts areas at once; the
+moment pass behind bounding boxes, centroids and axis lengths runs on
+the first read of one of them, from the read-only label map the
+``Components`` record keeps.  Deskew reads only areas and never pays
+for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -66,25 +73,50 @@ def as_binary(img) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Components:
-    """Geometry of a label map's connected components, one row per label.
+    """Connected components of a label map, one row per label.
 
-    Entry ``i`` of every array describes label ``i + 1``.  ``bbox`` rows
-    are (row_min, col_min, row_max, col_max), inclusive; ``centroid``
-    rows are (row, col).  Axis lengths come from each component's
-    equivalent ellipse: the 2x2 covariance of its pixel coordinates gets
-    a +1/12 per-pixel correction (a pixel is a unit square, not a
-    point), and each axis is 4*sqrt(eigenvalue).  A single pixel
-    therefore has equal axes.
+    Entry ``i`` of every array describes label ``i + 1``.  ``labels`` is
+    the read-only int32 label map and ``area`` the pixel count of each
+    label, both computed up front.  The geometry (``bbox``,
+    ``centroid`` and the axis lengths) is computed from ``labels`` on
+    first read, in one pass, so a caller that needs only areas never
+    pays for moments.  ``bbox`` rows are (row_min, col_min, row_max,
+    col_max), inclusive; ``centroid`` rows are (row, col).  Axis
+    lengths come from each component's equivalent ellipse: the 2x2
+    covariance of its pixel coordinates gets a +1/12 per-pixel
+    correction (a pixel is a unit square, not a point), and each axis
+    is 4*sqrt(eigenvalue).  A single pixel therefore has equal axes.
     """
 
+    labels: np.ndarray = field(repr=False)  # (h, w) int32, read-only
     area: np.ndarray  # (n,) int
-    bbox: np.ndarray  # (n, 4) int
-    centroid: np.ndarray  # (n, 2) float64
-    major_axis_len: np.ndarray  # (n,) float64
-    minor_axis_len: np.ndarray  # (n,) float64
 
     def __len__(self) -> int:
         return len(self.area)
+
+    @functools.cached_property
+    def _geometry_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return _geometry(self.labels, self.area)
+
+    @property
+    def bbox(self) -> np.ndarray:
+        """(n, 4) int, inclusive."""
+        return self._geometry_arrays[0]
+
+    @property
+    def centroid(self) -> np.ndarray:
+        """(n, 2) float64."""
+        return self._geometry_arrays[1]
+
+    @property
+    def major_axis_len(self) -> np.ndarray:
+        """(n,) float64."""
+        return self._geometry_arrays[2]
+
+    @property
+    def minor_axis_len(self) -> np.ndarray:
+        """(n,) float64."""
+        return self._geometry_arrays[3]
 
 
 def otsu_threshold(img) -> int:
@@ -138,14 +170,19 @@ def connected_components(img, connectivity: int = 8) -> tuple[Components, np.nda
     pixel.  That order is ``ndi.label``'s own (its union-find keeps the
     smallest label as root and numbers roots in increasing order), and
     the tests pin it against a flood-fill oracle.  Returns the
-    per-label geometry and the int32 label map.
+    per-label record and its read-only int32 label map; the record's
+    geometry is computed on first read.
     """
     b = as_binary(img)
     labels, n = ndi.label(b, structure=label_structure(connectivity))
-    return _components(labels, n), labels
+    labels.flags.writeable = False  # the record reads it later
+    area = np.bincount(labels.ravel(), minlength=n + 1)[1:]
+    return Components(labels=labels, area=area), labels
 
 
-def _components(labels: np.ndarray, n: int) -> Components:
+def _geometry(labels: np.ndarray, area: np.ndarray):
+    """(bbox, centroid, major_axis_len, minor_axis_len) of every label."""
+    n = len(area)
     h, w = labels.shape
     flat = labels.ravel()
     idx = np.flatnonzero(flat)
@@ -163,7 +200,6 @@ def _components(labels: np.ndarray, n: int) -> Components:
     # float once: bincount would convert integer weights on every call
     rows = rows.astype(np.float64)
     cols = cols.astype(np.float64)
-    area = np.bincount(lab, minlength=n + 1)[1:]
     mean_r = np.bincount(lab, weights=rows, minlength=n + 1)[1:] / area
     mean_c = np.bincount(lab, weights=cols, minlength=n + 1)[1:] / area
 
@@ -178,12 +214,11 @@ def _components(labels: np.ndarray, n: int) -> Components:
     common = np.sqrt((mu_rr - mu_cc) ** 2 + 4.0 * mu_rc**2)
     lam1 = (mu_rr + mu_cc + common) / 2.0
     lam2 = np.maximum((mu_rr + mu_cc - common) / 2.0, 0.0)
-    return Components(
-        area=area,
-        bbox=bounds[:, 1:].T,
-        centroid=np.column_stack((mean_r, mean_c)),
-        major_axis_len=4.0 * np.sqrt(lam1),
-        minor_axis_len=4.0 * np.sqrt(lam2),
+    return (
+        bounds[:, 1:].T,
+        np.column_stack((mean_r, mean_c)),
+        4.0 * np.sqrt(lam1),
+        4.0 * np.sqrt(lam2),
     )
 
 
@@ -196,7 +231,8 @@ def remove_small_objects(img, min_area: int = 15) -> np.ndarray:
     """
     if min_area < 0:
         raise ValueError("min_area must be nonnegative")
-    labels, _ = ndi.label(as_binary(img), structure=label_structure(8))
+    # intp labels: bincount and the lookup would each convert int32 again
+    labels, _ = ndi.label(as_binary(img), structure=label_structure(8), output=np.intp)
     keep = (np.bincount(labels.ravel()) >= min_area).astype(np.uint8)
     keep[0] = 0
     return keep[labels]

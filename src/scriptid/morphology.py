@@ -18,10 +18,17 @@ components that the marker touches (Vincent, IEEE TIP 1993), so it is
 one ``ndi.label`` plus a lookup table; hole filling labels the
 background once and fills every component that misses the frame.  Both
 give exactly the fixpoint of iterated geodesic dilation.
+
+Each public function validates its input with ``as_binary``.
+``opening_by_reconstruction`` does so once: it erodes through ``erode``
+and hands marker and mask to the private reconstruction step, since an
+eroded image always lies inside its input.  ``reconstruct_by_dilation``
+checks shapes and containment and then runs that same step.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +62,14 @@ class StructuringElement:
     length: int
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def line_se(direction: int, length: int) -> StructuringElement:
     """Digital line SE of odd ``length`` through the origin.
 
     0 degrees is horizontal, 90 vertical; 45 and 135 are the pure
     diagonals (one pixel per row), up-right and up-left respectively.
+    The SE is immutable, so equal arguments return the same cached
+    object.
     """
     if direction not in _LINE_STEPS:
         raise ValueError(f"direction must be one of 0, 45, 90, 135; got {direction}")
@@ -137,12 +147,16 @@ def reconstruct_by_dilation(marker, mask, connectivity: int = 8) -> np.ndarray:
         raise ValueError(f"marker shape {m.shape} != mask shape {i.shape}")
     if (m > i).any():
         raise ValueError("marker must be contained in mask")
-    structure = label_structure(connectivity)
-    if not m.any():
-        return np.zeros_like(m)
-    labels, n = ndi.label(i, structure=structure)
+    return _reconstruct(m, i, label_structure(connectivity))
+
+
+def _reconstruct(marker: np.ndarray, mask: np.ndarray, structure: np.ndarray) -> np.ndarray:
+    """Reconstruction of a validated {0,1} uint8 ``marker`` <= ``mask``."""
+    if not marker.any():
+        return np.zeros_like(marker)
+    labels, n = ndi.label(mask, structure=structure)
     keep = np.zeros(n + 1, dtype=np.uint8)
-    keep[labels[m == 1]] = 1
+    keep[labels[marker.view(bool)]] = 1
     return keep[labels]
 
 
@@ -151,10 +165,11 @@ def opening_by_reconstruction(img, se: StructuringElement) -> np.ndarray:
 
     The eroded image is the marker, the input the mask; components with
     no run of ink >= the SE length in the SE direction disappear, all
-    other components come back unchanged.
+    other components come back unchanged.  The input is validated once;
+    the eroded marker lies inside it by construction.
     """
     b = as_binary(img)
-    return reconstruct_by_dilation(erode(b, se), b, connectivity=8)
+    return _reconstruct(erode(b, se), b, label_structure(8))
 
 
 def fill_holes(img) -> np.ndarray:

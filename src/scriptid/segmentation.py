@@ -28,6 +28,10 @@ __all__ = [
     "vertical_projection",
 ]
 
+# rows rotate_binary maps per pass: its float temporaries stay a few
+# hundred KB instead of several copies of the page
+_ROTATE_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class LineBand:
@@ -118,9 +122,11 @@ def segment_words(
 def rotate_binary(img, degrees: float) -> np.ndarray:
     """Rotate a binary raster about its center, nearest-neighbor sampling.
 
-    Output has the same dimensions; pixels whose source falls outside
-    the input are background.  Values stay in {0, 1}.  A non-finite
-    angle raises ``ValueError``.
+    The output has the input's shape and is a fresh uint8 array; pixels
+    whose source falls outside the input are background.  The frame is
+    not enlarged, so ink rotated past it is dropped: at larger angles
+    the corners of a full frame are cut off.  Values stay in {0, 1}.  A
+    non-finite angle raises ``ValueError``.
     """
     if not math.isfinite(degrees):
         raise ValueError(f"rotation angle must be finite, got {degrees}")
@@ -133,11 +139,26 @@ def rotate_binary(img, degrees: float) -> np.ndarray:
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     dy = np.arange(h, dtype=np.float64)[:, None] - cy
     dx = np.arange(w, dtype=np.float64) - cx
+    # row and column terms of the inverse rotation, per row and per column
+    row_dy, col_dy = cos_a * dy, -sin_a * dy
+    row_dx, col_dx = sin_a * dx, cos_a * dx
     # content rotated by +degrees: sample the source at the inverse rotation;
     # a source outside the input lands on the zero border of the padded copy
-    src_r = np.rint(cos_a * dy + sin_a * dx + cy).astype(np.intp).clip(-1, h)
-    src_c = np.rint(-sin_a * dy + cos_a * dx + cx).astype(np.intp).clip(-1, w)
-    return np.pad(b, 1).take((src_r + 1) * (w + 2) + (src_c + 1))
+    src = np.pad(b, 1)
+    out = np.empty((h, w), dtype=np.uint8)
+    for r0 in range(0, h, _ROTATE_BLOCK_ROWS):
+        r1 = r0 + _ROTATE_BLOCK_ROWS
+        src_r = np.rint(row_dy[r0:r1] + row_dx + cy)
+        src_c = np.rint(col_dy[r0:r1] + col_dx + cx)
+        np.clip(src_r, -1, h, out=src_r)
+        np.clip(src_c, -1, w, out=src_c)
+        # flat index (r + 1) * (w + 2) + (c + 1), exact in float64
+        src_r *= w + 2
+        src_r += src_c
+        src_r += w + 3
+        # every index is in range; "clip" only spares take's buffered out=
+        src.take(src_r.astype(np.intp), out=out[r0:r1], mode="clip")
+    return out
 
 
 def _alignment_score(drow: np.ndarray, dcol: np.ndarray, degrees: float) -> float:
@@ -191,15 +212,16 @@ def deskew(
     # vertical dilation: rows -(L//2) .. L-L//2-1 around each pixel, so an
     # even length reaches one row further up than down
     blobs = ndi.maximum_filter1d(b, dilate_len, axis=0, mode="constant", cval=0)
+    # only the blob areas are read, so no component geometry is computed
     components, labels = connected_components(blobs, connectivity=8)
     keep = np.concatenate(([False], components.area >= min_area))  # indexed by label
     if np.count_nonzero(keep) < 2:
         return b.copy(), 0.0
-    rr, cc = np.nonzero(keep[labels] & (b == 1))
-    if rr.size > 30000:  # plenty for the variance signal
-        sel = np.linspace(0, rr.size - 1, 30000).astype(np.int64)
-        rr, cc = rr[sel], cc[sel]
+    ink = np.flatnonzero(keep[labels] & b.view(bool))
+    if ink.size > 30000:  # plenty for the variance signal
+        ink = ink[np.linspace(0, ink.size - 1, 30000).astype(np.int64)]
     h, w = b.shape
+    rr, cc = np.divmod(ink, w)
     drow = rr.astype(np.float64) - (h - 1) / 2.0
     dcol = cc.astype(np.float64) - (w - 1) / 2.0
 

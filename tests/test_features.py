@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import flood_components, moment_axes
-from scriptid import features
+from scriptid import features, imaging, morphology
 from scriptid.features import (
     DIRECTIONS,
     FEATURE_NAMES,
@@ -256,6 +256,40 @@ def test_speckled_word_refills_only_partial_openings(fill_calls):
     assert kinds == ["partial", "none", "partial", "none"]
     extract_features(word)
     assert len(fill_calls) == 1 + kinds.count("partial")
+
+
+def speckled_ring():
+    img = np.zeros((12, 16), np.uint8)
+    img[:, :12] = thin_ring(12, 12) | np.pad(thin_ring(10, 10), 1)
+    img[11, 15] = 1
+    return img
+
+
+def test_word_geometry_computed_once(geometry_calls):
+    word = word_from(speckled_ring())
+    assert geometry_calls == []
+    extract_features(word)
+    assert geometry_calls == [word.img.shape]
+
+
+def test_word_path_validation_count(monkeypatch):
+    calls = []
+    real = imaging.as_binary
+
+    def counting(img):
+        calls.append(np.shape(img))
+        return real(img)
+
+    for module in (imaging, morphology, features):
+        monkeypatch.setattr(module, "as_binary", counting)
+    word = word_from(speckled_ring())
+    assert len(calls) == 2  # the ink crop and its labeling
+    assert opening_kinds(word) == ["partial", "none", "partial", "none"]
+    calls.clear()
+    extract_features(word)
+    # per direction the opening and its erosion, then the word's fill
+    # and one refill per partial opening
+    assert len(calls) == 4 * 2 + 1 + 2
 
 
 # ---------------------------------------------------------------- regional features

@@ -155,6 +155,22 @@ def test_components_raster_discovery_order(rng):
     assert firsts == sorted(firsts)
 
 
+def test_components_label_map_is_read_only(rng, geometry_calls):
+    # the record computes its geometry from the map later, so a write
+    # into the returned map must not be able to make it stale
+    img = (rng.random((20, 20)) < 0.3).astype(np.uint8)
+    comps, labels = connected_components(img)
+    assert comps.labels is labels
+    assert not labels.flags.writeable
+    with pytest.raises(ValueError):
+        labels[0, 0] = 7
+    assert geometry_calls == []
+    assert comps.bbox.shape == (len(comps), 4)
+    assert comps.centroid.shape == (len(comps), 2)
+    assert len(comps.major_axis_len) == len(comps.minor_axis_len) == len(comps)
+    assert geometry_calls == [(20, 20)]  # one pass serves every field
+
+
 def test_components_rejects_bad_connectivity():
     with pytest.raises(ValueError):
         connected_components(np.zeros((2, 2), np.uint8), connectivity=6)

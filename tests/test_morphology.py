@@ -217,6 +217,27 @@ def test_reconstruct_monotone_in_marker(rng):
         assert ((r1 == 1) <= (r2 == 1)).all()
 
 
+@pytest.mark.parametrize(
+    "img",
+    [
+        np.ones((3, 3, 3), np.uint8),
+        np.zeros((0, 4), np.uint8),
+        np.ones((3, 3), np.float64),
+        np.array([[0, 2], [2, 0]], np.uint8),
+        np.array([[0, 2], [2, 0]], np.int64),
+    ],
+    ids=["3d", "empty", "float", "uint8-0-2", "int64-0-2"],
+)
+def test_opening_by_reconstruction_rejects_bad_input(img):
+    with pytest.raises(ValueError):
+        opening_by_reconstruction(img, line_se(0, 3))
+
+
+def test_line_se_is_cached():
+    assert line_se(45, 7) is line_se(45, 7)
+    assert line_se(45, 7) is not line_se(135, 7)
+
+
 def test_reconstruct_rejects_bad_pairs():
     mask = np.zeros((4, 4), np.uint8)
     marker = np.zeros((4, 5), np.uint8)

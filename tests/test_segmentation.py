@@ -178,6 +178,52 @@ def test_rotate_matches_naive_oracle(img, degrees):
     assert np.array_equal(out, naive_rotate(img, degrees))
 
 
+# heights around every multiple of the row block, up to 300 rows
+_BLOCK = segmentation._ROTATE_BLOCK_ROWS
+SEAM_HEIGHTS = sorted({k * _BLOCK + d for k in range(1, 300 // _BLOCK + 1) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    h=st.one_of(st.sampled_from(SEAM_HEIGHTS), st.integers(1, 300)),
+    w=st.integers(1, 48),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 1.0),
+    degrees=st.one_of(
+        st.integers(-200, 200).map(lambda k: k / 10),
+        st.integers(-90, 90).map(float),
+        st.floats(-20.0, 20.0),
+    ),
+    read_only=st.booleans(),
+)
+@example(h=_BLOCK + 1, w=3, seed=0, density=1.0, degrees=7.3, read_only=False)
+@example(h=2 * _BLOCK - 1, w=48, seed=1, density=0.5, degrees=-90.0, read_only=True)
+def test_rotate_block_seams_match_naive_oracle(h, w, seed, density, degrees, read_only):
+    img = (np.random.default_rng(seed).random((h, w)) < density).astype(np.uint8)
+    img.flags.writeable = not read_only
+    out = rotate_binary(img, degrees)
+    assert out.dtype == np.uint8 and out.shape == img.shape
+    assert out.flags.c_contiguous and out.flags.writeable
+    assert not np.shares_memory(out, img)
+    assert np.array_equal(out, naive_rotate(img, degrees))
+
+
+def test_rotate_clips_ink_past_the_frame():
+    # the output keeps the input's shape, so nothing is padded: a full
+    # frame loses its corners at 45 degrees ...
+    img = np.ones((41, 61), np.uint8)
+    out = rotate_binary(img, 45.0)
+    assert out.shape == img.shape
+    assert out[0, 0] == out[0, -1] == out[-1, 0] == out[-1, -1] == 0
+    assert out.sum() < img.sum()
+    assert np.array_equal(out, naive_rotate(img, 45.0))
+    # ... and a corner pixel of a wide frame lands outside it at 90 degrees
+    dot = np.zeros((11, 31), np.uint8)
+    dot[0, 0] = 1
+    assert not rotate_binary(dot, 90.0).any()
+    assert not rotate_binary(dot, -90.0).any()
+
+
 # ---------------------------------------------------------------- deskew
 def test_deskew_unskewed_page(glyph_bank):
     rng = random.Random(21)
@@ -203,6 +249,14 @@ def test_deskew_stability_under_repetition(glyph_bank):
     _, angle2 = deskew(once)
     assert abs(angle1 - 4.0) <= 0.5
     assert abs(angle2) <= 0.5
+
+
+def test_deskew_reads_only_blob_areas(glyph_bank, geometry_calls):
+    rng = random.Random(34)
+    page, _ = render_page(rng, glyph_bank, n_lines=4, margin=90)
+    _, angle = deskew(rotate_binary(page, 3.0))
+    assert abs(angle - 3.0) <= 0.5
+    assert geometry_calls == []
 
 
 def test_deskew_too_few_components_returns_zero():
