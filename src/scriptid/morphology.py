@@ -28,7 +28,6 @@ checks shapes and containment and then runs that same step.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +61,11 @@ class StructuringElement:
     length: int
 
 
-@functools.lru_cache(maxsize=256, typed=True)
 def line_se(direction: int, length: int) -> StructuringElement:
     """Digital line SE of odd ``length`` through the origin.
 
     0 degrees is horizontal, 90 vertical; 45 and 135 are the pure
     diagonals (one pixel per row), up-right and up-left respectively.
-    The SE is immutable, so equal arguments return the same cached
-    object.
     """
     if direction not in _LINE_STEPS:
         raise ValueError(f"direction must be one of 0, 45, 90, 135; got {direction}")

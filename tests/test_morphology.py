@@ -233,11 +233,6 @@ def test_opening_by_reconstruction_rejects_bad_input(img):
         opening_by_reconstruction(img, line_se(0, 3))
 
 
-def test_line_se_is_cached():
-    assert line_se(45, 7) is line_se(45, 7)
-    assert line_se(45, 7) is not line_se(135, 7)
-
-
 def test_reconstruct_rejects_bad_pairs():
     mask = np.zeros((4, 4), np.uint8)
     marker = np.zeros((4, 5), np.uint8)
