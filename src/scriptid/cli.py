@@ -14,13 +14,12 @@ artifact behind.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import collections
 import csv
-import functools
 import io
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -99,11 +98,14 @@ def cmd_segment(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _extract_one(task: tuple[str, str, str, float, int]) -> tuple[str, str, list[float]]:
+def _extract_one(task: tuple[str, str, str, float, int]) -> tuple[str, str, list[float]] | str:
+    """``(name, label, vector)`` of one word file, or the text of its error."""
     path, name, label, ratio, min_len = task
-    img = _load_word_binary(path)
-    word = features.WordImage.from_image(img)
-    vec = features.extract_features(word, ratio=ratio, min_len=min_len)
+    try:
+        word = features.WordImage.from_image(_load_word_binary(path))
+        vec = features.extract_features(word, ratio=ratio, min_len=min_len)
+    except Exception as exc:
+        return str(exc)
     return name, label, [float(v) for v in vec]
 
 
@@ -123,32 +125,26 @@ def _collect_corpus_files(root: Path) -> list[tuple[str, str, str]]:
 
 def cmd_extract(args, cfg: PipelineConfig) -> int:
     root = Path(args.path)
-    if root.is_dir():
-        tasks = [
-            (p, name, lab, cfg.se_ratio, cfg.se_min_len)
-            for p, name, lab in _collect_corpus_files(root)
-        ]
-        if not tasks:
-            print(f"scriptid: error: no class directories with images under {root}", file=sys.stderr)
-            return 1
+    entries = _collect_corpus_files(root) if root.is_dir() else [(str(root), str(root), "")]
+    if not entries:
+        print(f"scriptid: error: no class directories with images under {root}", file=sys.stderr)
+        return 1
+    tasks = [(p, name, lab, cfg.se_ratio, cfg.se_min_len) for p, name, lab in entries]
+
+    # one map, in this process or over a pool with about four chunks per worker
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_extract_one, tasks, chunksize=-(-len(tasks) // (4 * workers))))
     else:
-        tasks = [(str(root), str(root), "", cfg.se_ratio, cfg.se_min_len)]
-
+        outcomes = map(_extract_one, tasks)
     results = []
-    failures = 0
-    with contextlib.ExitStack() as stack:
-        if args.jobs > 1 and len(tasks) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))))
-            calls = [pool.submit(_extract_one, t).result for t in tasks]
+    for task, outcome in zip(tasks, outcomes):
+        if isinstance(outcome, str):
+            print(f"scriptid: warning: skipping {task[0]}: {outcome}", file=sys.stderr)
         else:
-            calls = [functools.partial(_extract_one, t) for t in tasks]
-        for t, call in zip(tasks, calls):
-            try:
-                results.append(call())
-            except Exception as exc:
-                failures += 1
-                print(f"scriptid: warning: skipping {t[0]}: {exc}", file=sys.stderr)
-
+            results.append(outcome)
+    failures = len(tasks) - len(results)
     if not results:
         print("scriptid: error: no images could be processed", file=sys.stderr)
         return 1
@@ -285,9 +281,7 @@ def cmd_gen_corpus(args, cfg: PipelineConfig) -> int:
         skew=args.skew,
         noise=args.noise,
     )
-    by_class: dict[str, int] = {}
-    for _, label, _, _, _ in rows:
-        by_class[label] = by_class.get(label, 0) + 1
+    by_class = collections.Counter(row[1] for row in rows)
     for label in sorted(by_class):
         print(f"{label}: {by_class[label]}")
     print(f"total: {len(rows)} words -> {args.out}")
@@ -377,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args, cfg)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, BrokenExecutor) as exc:
         print(f"scriptid: error: {exc}", file=sys.stderr)
         return 1
 

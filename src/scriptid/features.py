@@ -74,10 +74,9 @@ class WordImage:
         crop = crop_to_ink(as_binary(img))
         if crop is None:
             raise ValueError("word image contains no ink")
+        # a crop of as_binary's read-only view is itself read-only
         components, _ = connected_components(crop, connectivity=8)
-        view = crop.view()
-        view.flags.writeable = False
-        return cls(img=view, components=components)
+        return cls(img=crop, components=components)
 
     @functools.cached_property
     def filled_area(self) -> int:

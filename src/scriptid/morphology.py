@@ -54,11 +54,17 @@ _LINE_STEPS = {0: (0, 1), 45: (-1, 1), 90: (1, 0), 135: (-1, -1)}
 
 @dataclass(frozen=True)
 class StructuringElement:
-    """Centered flat SE given by its (drow, dcol) offsets."""
+    """Centred digital line SE: ``length`` pixels along ``direction``."""
 
-    offsets: tuple[tuple[int, int], ...]
     direction: int
     length: int
+
+    @property
+    def offsets(self) -> tuple[tuple[int, int], ...]:
+        """The (drow, dcol) offset of every SE pixel, the origin included."""
+        dr, dc = _LINE_STEPS[self.direction]
+        half = self.length // 2
+        return tuple((t * dr, t * dc) for t in range(-half, half + 1))
 
 
 def line_se(direction: int, length: int) -> StructuringElement:
@@ -71,10 +77,7 @@ def line_se(direction: int, length: int) -> StructuringElement:
         raise ValueError(f"direction must be one of 0, 45, 90, 135; got {direction}")
     if length < 1 or length % 2 == 0:
         raise ValueError(f"length must be a positive odd integer, got {length}")
-    dr, dc = _LINE_STEPS[direction]
-    half = length // 2
-    offsets = tuple((t * dr, t * dc) for t in range(-half, half + 1))
-    return StructuringElement(offsets=offsets, direction=direction, length=length)
+    return StructuringElement(direction, length)
 
 
 def _line_filter(b: np.ndarray, se: StructuringElement, op) -> np.ndarray:
@@ -120,8 +123,7 @@ def opening(img, se: StructuringElement) -> np.ndarray:
 
 def complement(img) -> np.ndarray:
     """Pointwise 1 - v."""
-    b = as_binary(img)
-    return (1 - b).astype(np.uint8)
+    return 1 - as_binary(img)
 
 
 # ---------------------------------------------------------------------------

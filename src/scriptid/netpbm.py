@@ -7,15 +7,31 @@ PBM, either raw (``P4``) or plain text (``P1``).
 
 PBM stores 1 = black.  That matches the library's binary convention
 (1 = ink), so pixel values map through unchanged in both directions.
+
+The plain-PBM codec has no per-byte loop: the reader strips comments
+with one regex and classes the raster bytes through a lookup table;
+the writer lays digits, spaces and line breaks out in one byte array.
+The writers validate through ``as_binary``/``as_gray`` before any
+cast, so a value a cast would change (256, 0.7, -1) is an error.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from scriptid._util import write_bytes_atomic
+from scriptid.imaging import as_binary, as_gray
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+# whitespace and comments, then one header token (empty only at the end)
+_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*\n?)*([^ \t\n\r\x0b\x0c#]*)")
+_COMMENT = re.compile(rb"#[^\n]*")
+# P1 raster byte classes: 0 = bad byte, 1 = whitespace, 2 = digit
+_P1_CLASS = np.zeros(256, dtype=np.uint8)
+_P1_CLASS[list(_WHITESPACE)] = 1
+_P1_CLASS[[0x30, 0x31]] = 2
 
 
 class NetpbmError(ValueError):
@@ -30,22 +46,11 @@ class _Scanner:
         self.pos = 0
 
     def token(self) -> bytes:
-        data, i, n = self.data, self.pos, len(self.data)
-        while i < n:
-            if data[i] in _WHITESPACE:
-                i += 1
-            elif data[i] == 0x23:  # '#'
-                j = data.find(b"\n", i)
-                i = n if j < 0 else j + 1
-            else:
-                break
-        if i >= n:
+        m = _TOKEN.match(self.data, self.pos)
+        if not m.group(1):
             raise NetpbmError("unexpected end of header")
-        j = i
-        while j < n and data[j] not in _WHITESPACE and data[j] != 0x23:
-            j += 1
-        self.pos = j
-        return data[i:j]
+        self.pos = m.end()
+        return m.group(1)
 
     def int_token(self) -> int:
         tok = self.token()
@@ -109,26 +114,18 @@ def read(path: str) -> tuple[str, np.ndarray]:
         img = np.unpackbits(packed, axis=1)[:, :width]
         return "binary", _readonly(img)
 
-    # P1: plain-format digits may be packed together; comments are legal anywhere.
-    bits = bytearray()
-    i, n = sc.pos, len(data)
+    # P1: digits may be packed; bytes after the last needed one are never read
+    raw = np.frombuffer(_COMMENT.sub(b"", data[sc.pos :]), dtype=np.uint8)
+    kind = _P1_CLASS[raw]
+    digits = np.flatnonzero(kind == 2)
     need = width * height
-    while i < n and len(bits) < need:
-        b = data[i]
-        if b in (0x30, 0x31):  # '0' '1'
-            bits.append(b - 0x30)
-            i += 1
-        elif b == 0x23:  # '#'
-            j = data.find(b"\n", i)
-            i = n if j < 0 else j + 1
-        elif b in _WHITESPACE:
-            i += 1
-        else:
-            raise NetpbmError(f"{path}: bad P1 raster byte {b!r}")
-    if len(bits) < need:
+    end = digits[need - 1] if digits.size >= need else raw.size
+    bad = np.flatnonzero(kind[:end] == 0)
+    if bad.size:
+        raise NetpbmError(f"{path}: bad P1 raster byte {int(raw[bad[0]])!r}")
+    if digits.size < need:
         raise NetpbmError(f"{path}: truncated raster")
-    img = np.frombuffer(bytes(bits), dtype=np.uint8).reshape(height, width)
-    return "binary", _readonly(img.copy())
+    return "binary", _readonly((raw[digits[:need]] - 0x30).reshape(height, width))
 
 
 def read_gray(path: str) -> np.ndarray:
@@ -145,33 +142,36 @@ def read_binary(path: str) -> np.ndarray:
     return img
 
 
+def _checked(validate, img) -> np.ndarray:
+    """``validate(img)``, its ``ValueError`` re-raised as ``NetpbmError``."""
+    try:
+        return validate(img)
+    except ValueError as exc:
+        raise NetpbmError(str(exc)) from exc
+
+
 def write_pgm(path: str, img: np.ndarray) -> None:
     """Write a grayscale image as binary PGM (P5, maxval 255)."""
-    a = np.ascontiguousarray(img, dtype=np.uint8)
-    if a.ndim != 2 or a.size == 0:
-        raise NetpbmError("grayscale image must be a nonempty 2-D array")
+    a = _checked(as_gray, img)
     h, w = a.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    write_bytes_atomic(path, header + a.tobytes())
+    write_bytes_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + a.tobytes())
 
 
 def write_pbm(path: str, img: np.ndarray, plain: bool = False) -> None:
-    """Write a {0,1} image as PBM: raw P4, or plain P1 when ``plain``."""
-    a = np.ascontiguousarray(img, dtype=np.uint8)
-    if a.ndim != 2 or a.size == 0:
-        raise NetpbmError("binary image must be a nonempty 2-D array")
-    if (a > 1).any():
-        raise NetpbmError("binary image values must be 0 or 1")
+    """Write a {0,1} image as PBM: raw P4, or plain P1 when ``plain``.
+
+    P1 rows are digits joined by spaces, broken after every 34th digit
+    so that no line reaches 70 characters.
+    """
+    a = _checked(as_binary, img)
     h, w = a.shape
-    if plain:
-        lines = [f"P1\n{w} {h}\n"]
-        for row in a:
-            s = " ".join("1" if v else "0" for v in row)
-            # plain-format lines should stay under 70 characters
-            for k in range(0, len(s), 68):
-                lines.append(s[k : k + 68] + "\n")
-        write_bytes_atomic(path, "".join(lines).encode("ascii"))
+    if not plain:
+        write_bytes_atomic(path, f"P4\n{w} {h}\n".encode("ascii") + np.packbits(a, axis=1).tobytes())
         return
-    header = f"P4\n{w} {h}\n".encode("ascii")
-    packed = np.packbits(a, axis=1)
-    write_bytes_atomic(path, header + packed.tobytes())
+    cells = np.full((h, w, 3), 0x0A, dtype=np.uint8)  # digit, separator, break
+    cells[..., 0] = a + 0x30
+    cells[:, :-1, 1] = 0x20
+    keep = np.zeros((w, 3), dtype=bool)
+    keep[:, :2] = keep[33:-1:34, 2] = True
+    raster = cells[np.broadcast_to(keep, cells.shape)]
+    write_bytes_atomic(path, f"P1\n{w} {h}\n".encode("ascii") + raster.tobytes())

@@ -232,3 +232,42 @@ def background_touches_border(img: np.ndarray) -> bool:
         if not any(r in (0, h - 1) or c in (0, w - 1) for r, c in comp):
             return False
     return True
+
+
+_PBM_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def loop_read_p1_raster(raster: bytes, width: int, height: int) -> np.ndarray:
+    """The plain-PBM raster read byte by byte: '0'/'1' digits, whitespace
+    and '#' comments up to the end of the line, until ``width * height``
+    digits are in.  Raises ``ValueError`` with the reader's error text."""
+    bits = bytearray()
+    i, n = 0, len(raster)
+    need = width * height
+    while i < n and len(bits) < need:
+        b = raster[i]
+        if b in (0x30, 0x31):
+            bits.append(b - 0x30)
+            i += 1
+        elif b == 0x23:
+            j = raster.find(b"\n", i)
+            i = n if j < 0 else j + 1
+        elif b in _PBM_WHITESPACE:
+            i += 1
+        else:
+            raise ValueError(f"bad P1 raster byte {b!r}")
+    if len(bits) < need:
+        raise ValueError("truncated raster")
+    return np.frombuffer(bytes(bits), dtype=np.uint8).reshape(height, width)
+
+
+def loop_write_p1(img: np.ndarray) -> bytes:
+    """Plain PBM file bytes built digit by digit: each row's digits joined
+    by spaces and cut into lines of at most 68 characters."""
+    h, w = img.shape
+    lines = [f"P1\n{w} {h}\n"]
+    for row in img:
+        s = " ".join("1" if v else "0" for v in row)
+        for k in range(0, len(s), 68):
+            lines.append(s[k : k + 68] + "\n")
+    return "".join(lines).encode("ascii")

@@ -1,5 +1,5 @@
 import random
-from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -176,12 +176,63 @@ def test_extract_skips_unreadable_nonzero_only_when_empty(tmp_path, capsys):
     empty.mkdir(parents=True)
     (empty / "bad.pbm").write_bytes(b"garbage")
     assert cli.main(["extract", str(tmp_path / "c2")]) == 1
+    assert "no images could be processed" in capsys.readouterr().err
+
+    (tmp_path / "c3").mkdir()
+    assert cli.main(["extract", str(tmp_path / "c3")]) == 1
+    assert "no class directories with images" in capsys.readouterr().err
 
 
 def test_extract_parallel_equals_serial(tmp_path, small_corpus):
     out = tmp_path / "par.csv"
     assert cli.main(["--jobs", "2", "extract", str(small_corpus["corpus"]), "--out", str(out)]) == 0
     assert out.read_text() == Path(small_corpus["dump"]).read_text()
+
+
+def test_extract_parallel_skips_bad_file_like_serial(tmp_path, small_corpus, capsys):
+    corpus = tmp_path / "c"
+    (corpus / "A").mkdir(parents=True)
+    for src in sorted((small_corpus["corpus"] / "Kannada").glob("*.pbm"))[:4]:
+        (corpus / "A" / src.name).write_bytes(src.read_bytes())
+    (corpus / "A" / "bad.pbm").write_bytes(b"garbage")
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert cli.main(["--jobs", jobs, "extract", str(corpus), "--out", str(out)]) == 0
+        runs.append((capsys.readouterr(), out.read_text()))
+    (serial, serial_dump), (parallel, parallel_dump) = runs
+    assert "skipping" in serial.err and "bad.pbm" in serial.err
+    assert parallel.err == serial.err
+    assert parallel.out.replace("jobs2", "jobs1") == serial.out
+    assert parallel_dump == serial_dump
+    assert len(serial_dump.splitlines()) == 4
+
+
+def test_extract_pool_failure_is_an_error_not_skips(tmp_path, small_corpus, monkeypatch, capsys):
+    class DyingPool:
+        """A pool whose workers die after the first result."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            tasks = iter(tasks)
+            yield fn(next(tasks))
+            raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", DyingPool)
+    out = tmp_path / "f.csv"
+    assert cli.main(["--jobs", "2", "extract", str(small_corpus["corpus"]), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "a worker died" in err
+    assert "skipping" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "x"])
@@ -207,10 +258,9 @@ def test_jobs_capped_at_task_count(tmp_path, small_corpus, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, tasks, chunksize=1):
+            assert chunksize >= 1
+            return map(fn, tasks)
 
     corpus = tmp_path / "c3"
     (corpus / "A").mkdir(parents=True)

@@ -46,6 +46,16 @@ def test_word_image_crops_tight():
     assert len(w.components) == 1
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+def test_word_image_is_read_only(dtype):
+    img = np.zeros((6, 7), dtype)
+    img[1:4, 2:5] = 1
+    w = WordImage.from_image(img)
+    assert w.img.dtype == np.uint8 and not w.img.flags.writeable
+    with pytest.raises(ValueError):
+        w.img[0, 0] = 0
+
+
 def test_word_image_rejects_empty():
     with pytest.raises(ValueError):
         word_from(np.zeros((5, 5), np.uint8))

@@ -14,6 +14,7 @@ from oracles import (
     naive_erode,
 )
 from scriptid.morphology import (
+    StructuringElement,
     complement,
     dilate,
     erode,
@@ -35,6 +36,12 @@ def test_line_se_offsets():
     assert set(line_se(90, 3).offsets) == {(-1, 0), (0, 0), (1, 0)}
     assert set(line_se(45, 5).offsets) == {(2, -2), (1, -1), (0, 0), (-1, 1), (-2, 2)}
     assert set(line_se(135, 5).offsets) == {(-2, -2), (-1, -1), (0, 0), (1, 1), (2, 2)}
+
+
+def test_line_se_is_direction_and_length():
+    se = line_se(135, 7)
+    assert se == StructuringElement(135, 7)
+    assert (se.direction, se.length) == (135, 7)
 
 
 def test_line_se_always_contains_origin_and_length():
@@ -333,6 +340,7 @@ def test_complement_basics(rng):
     img = rand_img(rng)
     assert np.array_equal(complement(complement(img)), img)
     assert np.array_equal(complement(img), 1 - img)
+    assert complement(img).dtype == np.uint8
 
 
 # ---------------------------------------------------------------- properties

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import loop_read_p1_raster, loop_write_p1
 
 from scriptid.netpbm import NetpbmError, read, read_binary, read_gray, write_pbm, write_pgm
 
@@ -137,6 +138,80 @@ def test_write_pbm_rejects_nonbinary(tmp_path):
     with pytest.raises(NetpbmError):
         write_pbm(str(tmp_path / "x.pbm"), np.full((2, 2), 7, np.uint8))
     assert not (tmp_path / "x.pbm").exists()
+
+
+# each value wraps or truncates to a valid pixel under a uint8 cast
+@pytest.mark.parametrize(
+    "writer, img, message",
+    [
+        (write_pbm, np.array([[256, 1]]), "binary image values must be 0 or 1"),
+        (write_pbm, np.array([[0.7, 1.0]]), "binary image must be integer-valued, got float64"),
+        (write_pgm, np.array([[300, -1]]), "grayscale intensities must lie in 0..255"),
+    ],
+    ids=["pbm-256", "pbm-float", "pgm-out-of-range"],
+)
+def test_writers_validate_before_casting(tmp_path, writer, img, message):
+    path = tmp_path / "x.pnm"
+    with pytest.raises(NetpbmError) as exc:
+        writer(str(path), img)
+    assert str(exc.value) == message
+    assert not path.exists()
+
+
+# separators a P1 raster may hold before a digit; comments may hold digits
+_P1_FILLERS = (b"", b"", b" ", b"\n", b"\t", b"\r\n", b"\x0b", b"\x0c ", b"#\n", b"# 0 1#x\n")
+_P1_BAD = b"x2-\x00\xff"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(1, 64),
+    w=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.sampled_from((None, "before", "after")),
+    truncate=st.booleans(),
+)
+def test_p1_codec_matches_byte_loop_oracle(tmp_path_factory, h, w, seed, bad, truncate):
+    rng = np.random.default_rng(seed)
+    img = (rng.random((h, w)) < 0.5).astype(np.uint8)
+    path = tmp_path_factory.mktemp("p1") / "img.pbm"
+    write_pbm(str(path), img, plain=True)
+    assert path.read_bytes() == loop_write_p1(img)
+
+    # every digit led by filler, then a tail; a bad byte goes in just
+    # before a random digit (with a second one later, which must lose) or
+    # after the last one
+    fill = rng.integers(len(_P1_FILLERS), size=h * w + 1)
+    pieces = [_P1_FILLERS[f] + b"01"[v : v + 1] for f, v in zip(fill, img.ravel())]
+    pieces.append(_P1_FILLERS[fill[-1]])
+    bad_byte = _P1_BAD[rng.integers(len(_P1_BAD)) :][:1]
+    if bad == "before":
+        k = int(rng.integers(h * w))
+        pieces[k] = bad_byte + pieces[k]
+        k2 = int(rng.integers(k, h * w))
+        pieces[k2] += b"\xfe"
+    elif bad == "after":
+        pieces[-1] += bad_byte + b"1"
+    raster = b"".join(pieces)
+    if truncate:  # cut somewhere before the last digit
+        raster = raster[: int(rng.integers(len(raster) - len(pieces[-1])))]
+    path.write_bytes(f"P1\n{w} {h}\n".encode() + raster)
+
+    try:
+        want = loop_read_p1_raster(raster, w, h)
+    except ValueError as exc:
+        with pytest.raises(NetpbmError) as got:
+            read(str(path))
+        assert str(got.value) == f"{path}: {exc}"
+        if bad == "before" and not truncate:
+            assert "bad P1 raster byte" in str(exc)
+        if bad is None:
+            assert str(exc) == "truncated raster"
+    else:
+        assert not truncate and bad != "before"
+        kind, back = read(str(path))
+        assert kind == "binary" and back.dtype == np.uint8
+        assert np.array_equal(back, want) and np.array_equal(back, img)
 
 
 def test_write_is_atomic_no_stray_temp(tmp_path, rng):
