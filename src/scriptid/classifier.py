@@ -5,6 +5,26 @@ normalization; the model header records that explicitly).  All
 tie-breaks are deterministic: distance ties at the k-boundary go to the
 lower sample index, vote ties to the tied label with the smallest
 summed voter distance, then to lexicographic label order.
+
+Every decision (``classify_nn``, ``classify_knn``, ``evaluate`` and
+``leave_one_out``) goes through one kernel:
+
+- Distances from a block of queries to all n samples, as a (B, n)
+  array.  The model keeps a feature-major copy of its vectors, and the
+  eight squared differences add in the fixed order
+  ``((f0+f1)+(f2+f3))+((f4+f5)+(f6+f7))``.  That is numpy's pairwise
+  order for an 8-element row, so each distance has the same bits as
+  ``np.sqrt(((V - q) ** 2).sum(axis=1))``.
+- The exact stable top k of each row without sorting it:
+  ``np.partition`` finds the k-th smallest distance, and only the
+  entries at or below it are ordered, by distance and then by index.
+  That is the first k of a stable argsort of the row.
+- The vote over those k samples.
+
+A block holds about ``_BLOCK_CELLS`` distances (at least one query
+row), so ``evaluate`` and ``leave_one_out`` never hold an n x n matrix:
+a block's eight squared terms take 512 KiB for any model of up to 8192
+samples.
 """
 
 from __future__ import annotations
@@ -31,6 +51,9 @@ __all__ = [
 ]
 
 MODEL_VERSION = 1
+# distances per query block (64 KiB of float64); the eight squared terms
+# take eight times that.  Larger blocks cost memory for no measurable speed.
+_BLOCK_CELLS = 8192
 
 class ModelFormatError(ValueError):
     """Unreadable, unknown-version or incompatible model file."""
@@ -38,15 +61,20 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Model:
-    """Labeled training samples plus classifier metadata."""
+    """Labeled training samples plus classifier metadata.
 
-    vectors: np.ndarray  # (n, 8) float64
+    ``vectors`` is the model's own read-only copy of the caller's array,
+    so a later write to that array changes no prediction.
+    """
+
+    vectors: np.ndarray  # (n, 8) float64, read-only
     labels: tuple[str, ...]
     k: int = 3
     label_set: tuple[str, ...] = field(init=False)
+    _by_feature: np.ndarray = field(init=False, repr=False, compare=False)  # (8, n)
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.float64)
+        v = np.array(self.vectors, dtype=np.float64)
         if v.ndim != 2 or v.shape[1] != len(FEATURE_NAMES):
             raise ValueError(f"vectors must be (n, {len(FEATURE_NAMES)}), got {v.shape}")
         if v.shape[0] == 0:
@@ -59,7 +87,11 @@ class Model:
             raise ValueError(f"k={self.k} must lie in 1..{v.shape[0]}")
         if self.k % 2 == 0:
             raise ValueError(f"k must be odd, got {self.k}")
+        by_feature = np.ascontiguousarray(v.T)
+        v.flags.writeable = False
+        by_feature.flags.writeable = False
         object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "_by_feature", by_feature)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "label_set", tuple(sorted(set(self.labels))))
 
@@ -84,8 +116,45 @@ def _query(v) -> np.ndarray:
     return q
 
 
-def _distances(model: Model, q: np.ndarray) -> np.ndarray:
-    return np.sqrt(((model.vectors - q) ** 2).sum(axis=1))
+def _block_distances(by_feature: np.ndarray, queries: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """(B, n) distances from ``queries`` (B, 8) to the samples held
+    feature-major in ``by_feature`` (8, n), computed in ``buf`` (8, B, n)."""
+    t = np.subtract(by_feature[:, None, :], queries.T[:, :, None], out=buf)
+    t *= t
+    # ((f0+f1)+(f2+f3))+((f4+f5)+(f6+f7)): numpy's pairwise order for a row of 8
+    t[0] += t[1]
+    t[2] += t[3]
+    t[0] += t[2]
+    t[4] += t[5]
+    t[6] += t[7]
+    t[4] += t[6]
+    t[0] += t[4]
+    return np.sqrt(t[0], out=t[0])
+
+
+def _neighbours(model: Model, queries: np.ndarray, k: int, exclude_self: bool = False):
+    """Yield ``(dists, order)`` per query row: its distances to every
+    sample and its nearest samples, nearest first.
+
+    ``order`` holds every sample at or below the k-th smallest distance,
+    ordered by distance, then index, so its first k are the first k of a
+    stable argsort of the row.  With ``exclude_self`` query i is sample
+    i, and its own distance is ``inf``, so it comes last.  ``dists`` is a
+    view into a buffer that the next block overwrites: use it before
+    asking for the next row.
+    """
+    n = len(model)
+    step = max(1, _BLOCK_CELLS // n)
+    buf = np.empty((len(FEATURE_NAMES), min(step, len(queries)), n))
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step]
+        dists = _block_distances(model._by_feature, block, buf[:, : len(block)])
+        if exclude_self:
+            rows = np.arange(len(block))
+            dists[rows, start + rows] = np.inf
+        for row, kth in zip(dists, np.partition(dists, k - 1, axis=1)[:, k - 1]):
+            near = np.flatnonzero(row <= kth)  # ascending index
+            yield row, near[np.argsort(row[near], kind="stable")]
 
 
 def _vote(model: Model, dists: np.ndarray, order: np.ndarray, k: int) -> tuple[str, dict[str, int]]:
@@ -104,8 +173,8 @@ def _vote(model: Model, dists: np.ndarray, order: np.ndarray, k: int) -> tuple[s
 
 def classify_nn(model: Model, v) -> tuple[str, float]:
     """Label of the closest training sample (ties: lowest index)."""
-    dists = _distances(model, _query(v))
-    i = int(np.argmin(dists))
+    dists, order = next(_neighbours(model, _query(v)[None, :], 1))
+    i = order[0]
     return model.labels[i], float(dists[i])
 
 
@@ -115,8 +184,7 @@ def classify_knn(model: Model, v, k: int | None = None) -> tuple[str, dict[str, 
         k = model.k
     if not 1 <= k <= len(model):
         raise ValueError(f"k={k} must lie in 1..{len(model)}")
-    dists = _distances(model, _query(v))
-    order = np.argsort(dists, kind="stable")
+    dists, order = next(_neighbours(model, _query(v)[None, :], k))
     return _vote(model, dists, order, k)
 
 
@@ -157,7 +225,10 @@ def evaluate(model: Model, test: list[tuple[np.ndarray, str]], k: int | None = N
         raise ValueError("test set must be nonempty")
     if k is None:
         k = model.k
-    preds = [classify_knn(model, vec, k)[0] for vec, _ in test]
+    if not 1 <= k <= len(model):
+        raise ValueError(f"k={k} must lie in 1..{len(model)}")
+    queries = np.array([_query(vec) for vec, _ in test])
+    preds = [_vote(model, dists, order, k)[0] for dists, order in _neighbours(model, queries, k)]
     truths = [lab for _, lab in test]
     label_order = sorted(set(model.label_set) | set(truths))
     return _make_report(label_order, truths, preds)
@@ -168,14 +239,10 @@ def leave_one_out(model: Model, k: int | None = None) -> EvalReport:
     if k is None:
         k = model.k
     n = len(model)
-    if n < k + 1:
-        raise ValueError(f"leave-one-out needs at least k+1={k + 1} samples, have {n}")
-    preds = []
-    for i in range(n):
-        dists = _distances(model, model.vectors[i])
-        dists[i] = np.inf  # self sorts last; index order otherwise intact
-        order = np.argsort(dists, kind="stable")
-        preds.append(_vote(model, dists, order, k)[0])
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k={k} must lie in 1..{n - 1} (leave-one-out over {n} samples)")
+    neighbours = _neighbours(model, model.vectors, k, exclude_self=True)
+    preds = [_vote(model, dists, order, k)[0] for dists, order in neighbours]
     return _make_report(model.label_set, model.labels, preds)
 
 

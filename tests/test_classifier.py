@@ -1,5 +1,8 @@
 import math
+import tracemalloc
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import knn_oracle
+from oracles import knn_oracle, row_sum_distances
+from scriptid import classifier
 from scriptid.classifier import (
     Model,
     ModelFormatError,
@@ -277,6 +281,98 @@ def test_loo_rejects_too_small_model():
         leave_one_out(m, k=3)
 
 
+@pytest.mark.parametrize("k", [-1, 0, 10])
+def test_loo_rejects_k_outside_one_to_n_minus_one(rng, k):
+    m = make_model(rng, n_per_class=5, classes=("A", "B"), k=1)
+    with pytest.raises(ValueError, match=rf"k={k} must lie in 1\.\.9"):
+        leave_one_out(m, k=k)
+    assert leave_one_out(m, k=9).total == 10
+
+
+@st.composite
+def grid_models(draw):
+    """Integer-grid models of 1-150 samples (exact distances, frequent
+    distance and vote ties) and a block size from one query row up."""
+    n = draw(st.integers(1, 150))
+    vectors = draw(hnp.arrays(np.float64, (n, 8), elements=st.integers(-2, 2)))
+    labels = tuple(draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n)))
+    cells = draw(st.sampled_from([1, 64, 500, classifier._BLOCK_CELLS]))
+    return Model(vectors=vectors, labels=labels, k=1), cells
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=grid_models())
+def test_loo_matches_oracle_on_model_minus_sample(case):
+    m, cells = case
+    n = len(m)
+    with mock.patch.object(classifier, "_BLOCK_CELLS", cells):
+        for k in (1, 3, 5):
+            if k > n - 1:
+                with pytest.raises(ValueError, match="must lie in"):
+                    leave_one_out(m, k=k)
+                continue
+            expected = [
+                knn_oracle(np.delete(m.vectors, i, axis=0), m.labels[:i] + m.labels[i + 1 :], m.vectors[i], k)
+                for i in range(n)
+            ]
+            kernel = classifier._neighbours(m, m.vectors, k, exclude_self=True)
+            assert [classifier._vote(m, d, order, k)[0] for d, order in kernel] == expected
+            rep = leave_one_out(m, k=k)
+            index = {lab: i for i, lab in enumerate(rep.label_order)}
+            confusion = np.zeros_like(rep.confusion)
+            for (t, p), count in Counter(zip(m.labels, expected)).items():
+                confusion[index[t], index[p]] = count
+            assert np.array_equal(rep.confusion, confusion)
+
+
+def test_evaluate_matches_per_vector_classify_knn(rng):
+    vectors = rng.integers(-2, 3, (60, 8)).astype(np.float64)
+    m = Model(vectors=vectors, labels=tuple("ABC"[i % 3] for i in range(60)), k=1)
+    queries = np.vstack([rng.integers(-2, 3, (40, 8)), vectors[:10]]).astype(np.float64)
+    truths = ["ABCD"[i % 4] for i in range(len(queries))]
+    for cells in (1, 100, classifier._BLOCK_CELLS):
+        with mock.patch.object(classifier, "_BLOCK_CELLS", cells):
+            for k in (1, 3, 5):
+                rep = evaluate(m, list(zip(queries, truths)), k=k)
+                preds = [classify_knn(m, q, k)[0] for q in queries]
+                index = {lab: i for i, lab in enumerate(rep.label_order)}
+                confusion = np.zeros_like(rep.confusion)
+                for (t, p), count in Counter(zip(truths, preds)).items():
+                    confusion[index[t], index[p]] = count
+                assert np.array_equal(rep.confusion, confusion)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), b=st.integers(1, 6))
+def test_block_distances_have_row_sum_bits(seed, n, b):
+    """Magnitudes 1e-6..1e6 in one row, duplicate samples, queries on samples."""
+    rng = np.random.default_rng(seed)
+
+    def mixed(rows):
+        return 10.0 ** rng.uniform(-6, 6, (rows, 8)) * rng.choice([-1.0, 1.0], (rows, 8))
+
+    vectors = mixed(n)
+    vectors = np.vstack([vectors, vectors[rng.integers(0, n, n // 3 + 1)]])
+    queries = np.vstack([mixed(b), vectors[rng.integers(0, len(vectors), b)]])
+    m = Model(vectors=vectors, labels=("A",) * len(vectors), k=1)
+    got = classifier._block_distances(m._by_feature, queries, np.empty((8, len(queries), len(m))))
+    for q, row in zip(queries, got):
+        assert row.tobytes() == row_sum_distances(vectors, q).tobytes()
+
+
+def test_loo_memory_stays_in_blocks(rng):
+    n = 4000
+    m = Model(vectors=rng.random((n, 8)), labels=tuple("AB"[i % 2] for i in range(n)), k=1)
+    tracemalloc.start()
+    try:
+        rep = leave_one_out(m, k=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.total == n
+    assert peak < 4 * 2**20  # a full n x n float64 distance matrix is 128 MB
+
+
 # ---------------------------------------------------------------- model file
 def test_model_round_trip_bytes_stable(tmp_path, rng):
     m = make_model(rng)
@@ -336,6 +432,21 @@ def test_model_rejects_non_finite_vectors(tmp_path, rng):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(ModelFormatError, match="finite"):
         load_model(str(p))
+
+
+def test_model_keeps_a_private_read_only_copy(rng):
+    vectors = rng.random((30, 8))
+    m = Model(vectors=vectors, labels=tuple("AB"[i % 2] for i in range(30)), k=3)
+    assert not m.vectors.flags.writeable
+    with pytest.raises(ValueError):
+        m.vectors[0, 0] = 1.0
+    q = rng.random(8)
+    before = classify_knn(m, q), classify_nn(m, q), leave_one_out(m).confusion
+    vectors[:] = rng.random((30, 8))
+    after = classify_knn(m, q), classify_nn(m, q), leave_one_out(m).confusion
+    assert before[:2] == after[:2]
+    assert np.array_equal(before[2], after[2])
+    assert not np.array_equal(m.vectors, vectors)
 
 
 def test_model_validation():
