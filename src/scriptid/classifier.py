@@ -59,19 +59,20 @@ class ModelFormatError(ValueError):
     """Unreadable, unknown-version or incompatible model file."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """Labeled training samples plus classifier metadata.
 
     ``vectors`` is the model's own read-only copy of the caller's array,
-    so a later write to that array changes no prediction.
+    so a later write to that array changes no prediction.  Models
+    compare and hash by identity.
     """
 
     vectors: np.ndarray  # (n, 8) float64, read-only
     labels: tuple[str, ...]
     k: int = 3
     label_set: tuple[str, ...] = field(init=False)
-    _by_feature: np.ndarray = field(init=False, repr=False, compare=False)  # (8, n)
+    _by_feature: np.ndarray = field(init=False, repr=False)  # (8, n)
 
     def __post_init__(self):
         v = np.array(self.vectors, dtype=np.float64)

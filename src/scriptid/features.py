@@ -8,9 +8,29 @@ is recorded.  Components with a long enough stroke in the probed
 direction survive whole; everything else vanishes, so the four numbers
 profile the word's stroke directions.  The word's holes are filled
 once (``WordImage.filled_area``): an opening that keeps all of the
-word reuses that fill, one that keeps none of it has area 0, and only
-an opening that keeps some of the components is filled again.  The
-remaining four are plain regional descriptors: average aspect ratio,
+word reuses that fill, and one that keeps none of it has area 0.  An
+opening that keeps some of the components is settled from the word's
+own fill where that is exact.  The word's hole pixels (background the
+fill turned to ink; never on the frame) are bordered, 4-adjacently,
+only by ink, and a component "touches a hole" when one of its pixels
+is such a border pixel.  Components are whole 8-connected ink, so a
+kept and a dropped component are never 4-adjacent.
+
+* No kept component touches a hole: the opening encloses nothing.  A
+  region it enclosed has a pixel 4-adjacent to kept ink, which is word
+  background (dropped ink is not 4-adjacent to kept ink).  Word
+  background is opening background too, so that pixel cannot reach
+  the frame through it: it is a hole pixel of the word, touched by a
+  kept component.  The area is the kept ink.
+* No dropped component touches a hole: a dropped component lies on
+  the frame or is bordered only by the word's outside background, so
+  dropping it joins its pixels to the outside, while every hole of the
+  word stays bordered by kept ink alone.  The opening's holes are the
+  word's, and the area is the word's filled area less the dropped ink.
+* Otherwise (a speck inside a kept ring, say) the opening's holes are
+  filled afresh with ``fill_holes``.
+
+The remaining four are plain regional descriptors: average aspect ratio,
 hole-filled pixel ratio, average eccentricity and average extent over
 the word's 8-connected components.
 
@@ -79,9 +99,30 @@ class WordImage:
         return cls(img=crop, components=components)
 
     @functools.cached_property
+    def ink(self) -> int:
+        """Ink pixel count of the word."""
+        return sum(self.components.area.tolist())
+
+    @functools.cached_property
+    def _filled(self) -> np.ndarray:
+        return fill_holes(self.img)
+
+    @functools.cached_property
     def filled_area(self) -> int:
         """Ink count of the hole-filled word, computed on first use."""
-        return int(fill_holes(self.img).sum())
+        return int(np.count_nonzero(self._filled))
+
+    @functools.cached_property
+    def _hole_rim(self) -> np.ndarray:
+        """Flat indices of the ink pixels 4-adjacent to a hole, repeats
+        allowed; empty for a word without holes.  Holes never touch the
+        frame, so the four neighbours of a hole pixel are in the crop."""
+        if self.filled_area == self.ink:
+            return np.empty(0, dtype=np.intp)
+        holes = np.flatnonzero(self._filled != self.img)
+        w = self.img.shape[1]
+        nbrs = np.concatenate((holes - w, holes + w, holes - 1, holes + 1))
+        return nbrs[self.img.take(nbrs) == 1]
 
 
 def se_length_for(word: WordImage, ratio: float = 0.7, min_len: int = 3) -> int:
@@ -108,14 +149,21 @@ def opd(word: WordImage, direction: int, ratio: float = 0.7, min_len: int = 3) -
 def _opd(word: WordImage, se: StructuringElement) -> float:
     opened = opening_by_reconstruction(word.img, se)
     # the opening is a union of the word's components: keeping all ink
-    # means it is the word, so the word's own fill serves
+    # means it is the word, so the word's own fill serves; a partial
+    # opening takes one of the module docstring's three cases
     kept = np.count_nonzero(opened)
     if kept == 0:
         area = 0
-    elif kept == sum(word.components.area.tolist()):
+    elif kept == word.ink:
         area = word.filled_area
     else:
-        area = int(fill_holes(opened).sum())
+        rim = opened.take(word._hole_rim)
+        if not rim.any():
+            area = kept
+        elif rim.all():
+            area = word.filled_area - (word.ink - kept)
+        else:
+            area = np.count_nonzero(fill_holes(opened))
     return float(area / opened.size)
 
 

@@ -51,7 +51,12 @@ def as_gray(img) -> np.ndarray:
 
 
 def as_binary(img) -> np.ndarray:
-    """Validate a {0,1} binary image and return it as a read-only uint8 array."""
+    """Validate a {0,1} binary image and return it as a read-only uint8 array.
+
+    The value check is a reduction (``max``, plus ``min`` for integer
+    types other than uint8), so it makes no image-size temporary; only a
+    bool or non-uint8 image is copied, by the conversion.
+    """
     a = np.asarray(img)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("binary image must be a nonempty 2-D array")
@@ -60,12 +65,11 @@ def as_binary(img) -> np.ndarray:
     elif a.dtype != np.uint8:
         if not np.issubdtype(a.dtype, np.integer):
             raise ValueError(f"binary image must be integer-valued, got {a.dtype}")
-        if ((a != 0) & (a != 1)).any():
+        if a.min() < 0 or a.max() > 1:
             raise ValueError("binary image values must be 0 or 1")
         a = a.astype(np.uint8)
-    else:
-        if (a > 1).any():
-            raise ValueError("binary image values must be 0 or 1")
+    elif a.max() > 1:
+        raise ValueError("binary image values must be 0 or 1")
     v = a.view()
     v.flags.writeable = False
     return v

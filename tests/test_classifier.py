@@ -389,6 +389,13 @@ def test_model_round_trip_bytes_stable(tmp_path, rng):
     assert np.array_equal(back.vectors, m.vectors)
 
 
+def test_models_compare_and_hash_by_identity():
+    a = Model(vectors=np.eye(3, 8), labels=("A", "B", "C"), k=1)
+    b = Model(vectors=np.eye(3, 8), labels=("A", "B", "C"), k=1)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_model_rejects_unknown_version(tmp_path, rng):
     p = tmp_path / "m.txt"
     save_model(str(p), make_model(rng))

@@ -162,7 +162,8 @@ def test_opd_rejects_bad_direction():
 # ---------------------------------------------------------------- one hole fill per word
 @st.composite
 def word_images(draw, max_side=32):
-    """Any non-empty binary image, or nested rings with optional speckle."""
+    """Any non-empty binary image, or nested rings with optional speckle
+    anywhere and inside the holes."""
     if draw(st.booleans()):
         h = draw(st.integers(1, max_side))
         w = draw(st.integers(1, max_side))
@@ -182,6 +183,12 @@ def word_images(draw, max_side=32):
         specks = st.tuples(st.integers(0, img.shape[0] - 1), st.integers(0, img.shape[1] - 1))
         for r, c in draw(st.lists(specks, max_size=6)):
             img[r, c] = 1
+        # specks inside the rings' holes: an opening that keeps a ring and
+        # drops its specks has to refill
+        holes = np.argwhere(fill_holes(img) > img).tolist()
+        if holes:
+            for r, c in draw(st.lists(st.sampled_from(holes), max_size=4)):
+                img[r, c] = 1
     assume(img.any())
     return img
 
@@ -265,7 +272,49 @@ def test_speckled_word_refills_only_partial_openings(fill_calls):
     kinds = opening_kinds(word)
     assert kinds == ["partial", "none", "partial", "none"]
     extract_features(word)
-    assert len(fill_calls) == 1 + kinds.count("partial")
+    # the dropped speck lies outside the ring: the word's fill serves
+    assert len(fill_calls) == 1
+
+
+def bar_and_small_ring():
+    img = np.zeros((10, 6), np.uint8)
+    img[:, 0] = 1
+    img[7:, 3:] = thin_ring(3, 3)
+    return img
+
+
+def ring_over_bar():
+    img = np.zeros((11, 9), np.uint8)
+    img[:7, :7] = thin_ring(7, 7)
+    img[10] = 1
+    return img
+
+
+def ring_with_inner_speck():
+    img = thin_ring(12, 12) | np.pad(thin_ring(10, 10), 1)
+    img[6, 6] = 1  # inside the hole; survives no opening
+    return img
+
+
+@pytest.mark.parametrize(
+    "img, kinds, refills",
+    [
+        # the kept bar borders no hole: the area is the bar's ink
+        (bar_and_small_ring(), ["none", "none", "partial", "none"], 0),
+        # the dropped bar borders no hole: the word's fill less the bar
+        (ring_over_bar(), ["all", "none", "partial", "none"], 0),
+        # kept ring and dropped speck both border the hole: refill
+        (ring_with_inner_speck(), ["partial", "none", "partial", "none"], 2),
+    ],
+    ids=["kept-border-no-hole", "dropped-border-no-hole", "both-border-a-hole"],
+)
+def test_partial_opening_cases(fill_calls, img, kinds, refills):
+    word = word_from(img)
+    assert opening_kinds(word) == kinds
+    length = se_length_for(word)
+    vec = extract_features(word)
+    assert len(fill_calls) == 1 + refills
+    assert vec[:4].tolist() == [refilled_density(word, d, length) for d in DIRECTIONS]
 
 
 def speckled_ring():
@@ -297,9 +346,10 @@ def test_word_path_validation_count(monkeypatch):
     assert opening_kinds(word) == ["partial", "none", "partial", "none"]
     calls.clear()
     extract_features(word)
-    # per direction the opening and its erosion, then the word's fill
-    # and one refill per partial opening
-    assert len(calls) == 4 * 2 + 1 + 2
+    # per direction the opening and its erosion, then the word's fill;
+    # the partial openings drop only a speck outside the ring, so
+    # nothing is refilled
+    assert len(calls) == 4 * 2 + 1
 
 
 # ---------------------------------------------------------------- regional features
