@@ -32,17 +32,26 @@ from scriptid.config import PipelineConfig, load_config
 IMAGE_SUFFIXES = (".pbm", ".pgm")
 
 
+def _otsu_binarize(gray: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(binary, Otsu threshold)``; an image of one intensity is all
+    background (Otsu's threshold lies below any other image's top)."""
+    t = imaging.otsu_threshold(gray)
+    binary = imaging.binarize(gray, t)
+    if binary.all():
+        binary[...] = 0
+    return binary, t
+
+
 def _load_word_binary(path: str) -> np.ndarray:
     """Load a word/page image; PGM input is Otsu-binarized."""
     kind, img = netpbm.read(path)
     if kind == "binary":
         return img
-    return imaging.binarize(img, imaging.otsu_threshold(img))
+    return _otsu_binarize(img)[0]
 
 
 def _preprocess_page(gray: np.ndarray, cfg: PipelineConfig):
-    t = imaging.otsu_threshold(gray)
-    page = imaging.binarize(gray, t)
+    page, t = _otsu_binarize(gray)
     page = imaging.remove_small_objects(page, min_area=cfg.min_area)
     page, angle = segmentation.deskew(
         page,
@@ -99,12 +108,13 @@ def cmd_segment(args, cfg: PipelineConfig) -> int:
 
 
 def _extract_one(task: tuple[str, str, str, float, int]) -> tuple[str, str, list[float]] | str:
-    """``(name, label, vector)`` of one word file, or the text of its error."""
+    """``(name, label, vector)`` of one word file, or the text of its
+    read or input error; any other exception is a program fault and propagates."""
     path, name, label, ratio, min_len = task
     try:
         word = features.WordImage.from_image(_load_word_binary(path))
         vec = features.extract_features(word, ratio=ratio, min_len=min_len)
-    except Exception as exc:
+    except (OSError, ValueError) as exc:
         return str(exc)
     return name, label, [float(v) for v in vec]
 

@@ -1,8 +1,8 @@
 """Pipeline configuration: every threshold in one place.
 
 Values can be overridden from a ``key=value`` text file (``#`` starts a
-comment).  Out-of-range values are rejected up front so a bad config
-fails at startup, not mid-batch.
+comment), each key at most once.  Bad entries are rejected up front so
+a bad config fails at startup, not mid-batch.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ def load_config(path: str | None) -> PipelineConfig:
             key = key.strip()
             if not eq or key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config entry {text!r}")
+            if key in overrides:
+                raise ValueError(f"{path}:{lineno}: repeated config entry {text!r}")
             try:
                 overrides[key] = casts[types[key]](value.strip())
             except ValueError:

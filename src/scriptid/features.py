@@ -32,7 +32,8 @@ kept and a dropped component are never 4-adjacent.
 
 The remaining four are plain regional descriptors: average aspect ratio,
 hole-filled pixel ratio, average eccentricity and average extent over
-the word's 8-connected components.
+the word's 8-connected components.  The word is labeled once, and its
+component geometry is computed from that label map once, on first read.
 
 Canonical feature order (fixed; stamped into model files):
 ``opd_0, opd_45, opd_90, opd_135, aar, pr, ecc, ext``.
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from scriptid._util import crop_to_ink, round_half_up
-from scriptid.imaging import Components, as_binary, connected_components
+from scriptid.imaging import Geometry, as_binary, component_geometry, connected_components
 from scriptid.morphology import (
     StructuringElement,
     fill_holes,
@@ -78,16 +79,18 @@ DIRECTIONS = (0, 45, 90, 135)
 
 @dataclass(frozen=True, eq=False)
 class WordImage:
-    """A word crop plus its connected components.
+    """A word crop plus its 8-connected components.
 
     ``img`` is the tight ink crop (first/last rows and columns contain
-    ink); ``components`` is the geometry of its 8-connected components.
-    Construct via :meth:`from_image`, which rejects empty images.  Words
-    compare by identity.
+    ink); ``labels`` and ``area`` are its label map and label areas, and
+    ``geometry`` is computed from them on first read.  Construct via
+    :meth:`from_image`, which rejects empty images.  Words compare by
+    identity.
     """
 
     img: np.ndarray
-    components: Components = field(repr=False)
+    labels: np.ndarray = field(repr=False)
+    area: np.ndarray = field(repr=False)
 
     @classmethod
     def from_image(cls, img) -> "WordImage":
@@ -95,13 +98,18 @@ class WordImage:
         if crop is None:
             raise ValueError("word image contains no ink")
         # a crop of as_binary's read-only view is itself read-only
-        components, _ = connected_components(crop, connectivity=8)
-        return cls(img=crop, components=components)
+        labels, area = connected_components(crop, connectivity=8)
+        return cls(img=crop, labels=labels, area=area)
+
+    @functools.cached_property
+    def geometry(self) -> Geometry:
+        """Boxes, centroids and axis lengths of the components, one row each."""
+        return component_geometry(self.labels, self.area)
 
     @functools.cached_property
     def ink(self) -> int:
         """Ink pixel count of the word."""
-        return sum(self.components.area.tolist())
+        return sum(self.area.tolist())
 
     @functools.cached_property
     def _filled(self) -> np.ndarray:
@@ -131,7 +139,7 @@ def se_length_for(word: WordImage, ratio: float = 0.7, min_len: int = 3) -> int:
     Rounded half-up, floored at ``min_len``, bumped up to odd so the SE
     stays centered.  One length is shared by all four directions.
     """
-    boxes = word.components.bbox.tolist()
+    boxes = word.geometry.bbox.tolist()
     mean_h = sum(r1 - r0 + 1 for r0, _, r1, _ in boxes) / len(boxes)
     length = round_half_up(ratio * mean_h)
     if length < min_len:
@@ -175,7 +183,7 @@ def _mean(values: list[float]) -> float:
 
 def aar(word: WordImage) -> float:
     """Average over components of bounding-box height / width."""
-    boxes = word.components.bbox.tolist()
+    boxes = word.geometry.bbox.tolist()
     return _mean([(r1 - r0 + 1) / (c1 - c0 + 1) for r0, c0, r1, c1 in boxes])
 
 
@@ -191,15 +199,14 @@ def avg_eccentricity(word: WordImage) -> float:
     eccentricity sqrt(1 - (b/a)^2): round components score near 1,
     elongated ones near 0, and a single pixel scores exactly 1.
     """
-    comps = word.components
-    axes = zip(comps.minor_axis_len.tolist(), comps.major_axis_len.tolist())
+    g = word.geometry
+    axes = zip(g.minor_axis_len.tolist(), g.major_axis_len.tolist())
     return _mean([minor / major for minor, major in axes])
 
 
 def avg_extent(word: WordImage) -> float:
     """Average fraction of its bounding box a component covers, in (0, 1]."""
-    comps = word.components
-    boxes = zip(comps.area.tolist(), comps.bbox.tolist())
+    boxes = zip(word.area.tolist(), word.geometry.bbox.tolist())
     return _mean([a / ((r1 - r0 + 1) * (c1 - c0 + 1)) for a, (r0, c0, r1, c1) in boxes])
 
 

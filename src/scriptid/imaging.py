@@ -7,17 +7,16 @@ validators below check those invariants and hand back read-only views;
 every operation in the package is a pure function of its inputs, so
 images can be processed in parallel without coordination.
 
-``connected_components`` labels once and counts areas at once; the
-moment pass behind bounding boxes, centroids and axis lengths runs on
-the first read of one of them, from the read-only label map the
-``Components`` record keeps.  Deskew reads only areas and never pays
-for it.
+Component labeling is two functions.  ``connected_components``
+returns a read-only ``np.intp`` label map and the area of each label;
+despeckling and deskew read only those.  ``component_geometry`` makes
+the one moment pass behind bounding boxes, centroids and axis lengths,
+for the callers that need them (a word, once).
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -25,10 +24,11 @@ from scipy import ndimage as ndi
 from scriptid._util import label_structure
 
 __all__ = [
-    "Components",
+    "Geometry",
     "as_binary",
     "as_gray",
     "binarize",
+    "component_geometry",
     "connected_components",
     "otsu_threshold",
     "remove_small_objects",
@@ -75,52 +75,21 @@ def as_binary(img) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True, eq=False)
-class Components:
-    """Connected components of a label map, one row per label.
+class Geometry(NamedTuple):
+    """Geometry of labeled components; row ``i`` describes label ``i + 1``.
 
-    Entry ``i`` of every array describes label ``i + 1``.  ``labels`` is
-    the read-only int32 label map and ``area`` the pixel count of each
-    label, both computed up front.  The geometry (``bbox``,
-    ``centroid`` and the axis lengths) is computed from ``labels`` on
-    first read, in one pass, so a caller that needs only areas never
-    pays for moments.  ``bbox`` rows are (row_min, col_min, row_max,
-    col_max), inclusive; ``centroid`` rows are (row, col).  Axis
-    lengths come from each component's equivalent ellipse: the 2x2
-    covariance of its pixel coordinates gets a +1/12 per-pixel
-    correction (a pixel is a unit square, not a point), and each axis
-    is 4*sqrt(eigenvalue).  A single pixel therefore has equal axes.
+    ``bbox`` rows are (row_min, col_min, row_max, col_max), inclusive;
+    ``centroid`` rows are (row, col).  Axis lengths come from each
+    component's equivalent ellipse: the 2x2 covariance of its pixel
+    coordinates gets a +1/12 per-pixel correction (a pixel is a unit
+    square, not a point), and each axis is 4*sqrt(eigenvalue).  A
+    single pixel therefore has equal axes.
     """
 
-    labels: np.ndarray = field(repr=False)  # (h, w) int32, read-only
-    area: np.ndarray  # (n,) int
-
-    def __len__(self) -> int:
-        return len(self.area)
-
-    @functools.cached_property
-    def _geometry_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return _geometry(self.labels, self.area)
-
-    @property
-    def bbox(self) -> np.ndarray:
-        """(n, 4) int, inclusive."""
-        return self._geometry_arrays[0]
-
-    @property
-    def centroid(self) -> np.ndarray:
-        """(n, 2) float64."""
-        return self._geometry_arrays[1]
-
-    @property
-    def major_axis_len(self) -> np.ndarray:
-        """(n,) float64."""
-        return self._geometry_arrays[2]
-
-    @property
-    def minor_axis_len(self) -> np.ndarray:
-        """(n,) float64."""
-        return self._geometry_arrays[3]
+    bbox: np.ndarray  # (n, 4) int
+    centroid: np.ndarray  # (n, 2) float64
+    major_axis_len: np.ndarray  # (n,) float64
+    minor_axis_len: np.ndarray  # (n,) float64
 
 
 def otsu_threshold(img) -> int:
@@ -167,31 +136,34 @@ def binarize(img, t: int) -> np.ndarray:
     return (g <= t).astype(np.uint8)
 
 
-def connected_components(img, connectivity: int = 8) -> tuple[Components, np.ndarray]:
-    """Label maximal connected sets of 1-pixels.
+def connected_components(img, connectivity: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Label maximal connected sets of 1-pixels; returns ``(labels, area)``.
 
-    Labels run from 1 in raster-scan order of each component's first
-    pixel.  That order is ``ndi.label``'s own (its union-find keeps the
-    smallest label as root and numbers roots in increasing order), and
-    the tests pin it against a flood-fill oracle.  Returns the
-    per-label record and its read-only int32 label map; the record's
-    geometry is computed on first read.
+    ``labels`` is a read-only ``np.intp`` map, 0 on background.  Labels
+    run from 1 in raster-scan order of each component's first pixel.
+    That order is ``ndi.label``'s own (its union-find keeps the smallest
+    label as root and numbers roots in increasing order), and the tests
+    pin it against a flood-fill oracle.  ``area[i]`` is the pixel count
+    of label ``i + 1``.
     """
     b = as_binary(img)
-    labels, n = ndi.label(b, structure=label_structure(connectivity))
-    labels.flags.writeable = False  # the record reads it later
+    labels, n = ndi.label(b, structure=label_structure(connectivity), output=np.intp)
+    labels.flags.writeable = False
     area = np.bincount(labels.ravel(), minlength=n + 1)[1:]
-    return Components(labels=labels, area=area), labels
+    return labels, area
 
 
-def _geometry(labels: np.ndarray, area: np.ndarray):
-    """(bbox, centroid, major_axis_len, minor_axis_len) of every label."""
+def component_geometry(labels: np.ndarray, area: np.ndarray) -> Geometry:
+    """Bounding boxes, centroids and axis lengths of every label.
+
+    ``labels`` and ``area`` are as ``connected_components`` returns them.
+    One pass over the ink pixels serves every field.
+    """
     n = len(area)
     h, w = labels.shape
     flat = labels.ravel()
     idx = np.flatnonzero(flat)
-    # intp once: bincount and ufunc.at would each convert int32 labels again
-    lab = flat[idx].astype(np.intp)
+    lab = flat[idx]
     rows, cols = np.divmod(idx, w)
 
     # rows: row_min, col_min, row_max, col_max; one column per label, 0 = background
@@ -218,11 +190,11 @@ def _geometry(labels: np.ndarray, area: np.ndarray):
     common = np.sqrt((mu_rr - mu_cc) ** 2 + 4.0 * mu_rc**2)
     lam1 = (mu_rr + mu_cc + common) / 2.0
     lam2 = np.maximum((mu_rr + mu_cc - common) / 2.0, 0.0)
-    return (
-        bounds[:, 1:].T,
-        np.column_stack((mean_r, mean_c)),
-        4.0 * np.sqrt(lam1),
-        4.0 * np.sqrt(lam2),
+    return Geometry(
+        bbox=bounds[:, 1:].T,
+        centroid=np.column_stack((mean_r, mean_c)),
+        major_axis_len=4.0 * np.sqrt(lam1),
+        minor_axis_len=4.0 * np.sqrt(lam2),
     )
 
 
@@ -235,8 +207,6 @@ def remove_small_objects(img, min_area: int = 15) -> np.ndarray:
     """
     if min_area < 0:
         raise ValueError("min_area must be nonnegative")
-    # intp labels: bincount and the lookup would each convert int32 again
-    labels, _ = ndi.label(as_binary(img), structure=label_structure(8), output=np.intp)
-    keep = (np.bincount(labels.ravel()) >= min_area).astype(np.uint8)
-    keep[0] = 0
-    return keep[labels]
+    labels, area = connected_components(img, connectivity=8)
+    keep = np.concatenate(([False], area >= min_area))  # indexed by label
+    return keep.view(np.uint8)[labels]

@@ -212,9 +212,8 @@ def deskew(
     # vertical dilation: rows -(L//2) .. L-L//2-1 around each pixel, so an
     # even length reaches one row further up than down
     blobs = ndi.maximum_filter1d(b, dilate_len, axis=0, mode="constant", cval=0)
-    # only the blob areas are read, so no component geometry is computed
-    components, labels = connected_components(blobs, connectivity=8)
-    keep = np.concatenate(([False], components.area >= min_area))  # indexed by label
+    labels, area = connected_components(blobs, connectivity=8)
+    keep = np.concatenate(([False], area >= min_area))  # indexed by label
     if np.count_nonzero(keep) < 2:
         return b.copy(), 0.0
     ink = np.flatnonzero(keep[labels] & b.view(bool))

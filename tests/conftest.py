@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scriptid import imaging
+from scriptid import features, imaging
 from scriptid.corpus import load_glyphs
 
 
@@ -21,13 +21,18 @@ def rng():
 
 @pytest.fixture
 def geometry_calls(monkeypatch):
-    """Label-map shapes of every component-geometry pass run while the test runs."""
+    """Label-map shapes of every component-geometry pass run while the test runs.
+
+    ``features`` imports ``component_geometry`` by name, so the name is
+    patched in both modules that hold it.
+    """
     calls = []
-    real = imaging._geometry
+    real = imaging.component_geometry
 
     def counting(labels, area):
         calls.append(labels.shape)
         return real(labels, area)
 
-    monkeypatch.setattr(imaging, "_geometry", counting)
+    for module in (imaging, features):
+        monkeypatch.setattr(module, "component_geometry", counting)
     return calls

@@ -1,13 +1,14 @@
 import random
+import re
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scriptid import cli
+from scriptid import cli, features
 from scriptid.classifier import load_model
-from scriptid.config import PipelineConfig
+from scriptid.config import PipelineConfig, load_config
 from scriptid.corpus import render_page, render_word, sprinkle_speckles
 from scriptid.features import WordImage, extract_features, parse_feature_line
 from scriptid.imaging import binarize, connected_components, otsu_threshold, remove_small_objects
@@ -55,7 +56,7 @@ def test_preprocess_matches_library_pipeline(tmp_path, glyph_bank, capsys):
     )
     assert int(report["threshold"]) == t
     assert float(report["skew_degrees"]) == pytest.approx(angle)
-    assert int(report["components"]) == len(connected_components(expected)[0])
+    assert int(report["components"]) == len(connected_components(expected)[1])
 
 
 def test_preprocess_blank_page(tmp_path, capsys):
@@ -69,6 +70,20 @@ def test_preprocess_blank_page(tmp_path, capsys):
     assert cli.main(["preprocess", str(src), "--out", str(out)]) == 0
     assert not read_binary(str(out)).any()
     report = (tmp_path / "blank.pbm.report.txt").read_text()
+    assert "components=0" in report
+
+
+@pytest.mark.parametrize("intensity", [0, 255])
+def test_preprocess_uniform_page_is_blank(tmp_path, capsys, intensity):
+    # Otsu returns a uniform image's one intensity, which binarize would
+    # turn into a page of ink; one intensity means no foreground
+    src = tmp_path / "uniform.pgm"
+    write_pgm(str(src), np.full((40, 40), intensity, np.uint8))
+    out = tmp_path / "uniform.pbm"
+    assert cli.main(["preprocess", str(src), "--out", str(out)]) == 0
+    assert not read_binary(str(out)).any()
+    report = (tmp_path / "uniform.pbm.report.txt").read_text()
+    assert f"threshold={intensity}\n" in report
     assert "components=0" in report
 
 
@@ -232,6 +247,26 @@ def test_extract_pool_failure_is_an_error_not_skips(tmp_path, small_corpus, monk
     err = capsys.readouterr().err
     assert "a worker died" in err
     assert "skipping" not in err
+    assert not out.exists()
+
+
+def test_extract_program_fault_fails_without_dump(tmp_path, small_corpus, monkeypatch, capsys):
+    # only unreadable or blank words are skipped: a fault in the feature
+    # code must not turn into a warning and a short dump
+    real = features.extract_features
+    seen = []
+
+    def faulty(word, **kwargs):
+        seen.append(word)
+        if len(seen) == 5:
+            raise IndexError("bug in feature code")
+        return real(word, **kwargs)
+
+    monkeypatch.setattr(features, "extract_features", faulty)
+    out = tmp_path / "f.csv"
+    with pytest.raises(IndexError, match="bug in feature code"):
+        cli.main(["--jobs", "1", "extract", str(small_corpus["corpus"]), "--out", str(out)])
+    assert "skipping" not in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -456,6 +491,29 @@ def test_classify_accepts_pgm_words(tmp_path, glyph_bank, small_corpus, capsys):
     assert line.split(",")[1] == "EnglishNumeral"
 
 
+@pytest.mark.parametrize("intensity", [0, 255])
+def test_uniform_pgm_word_is_skipped_as_blank(tmp_path, glyph_bank, small_corpus, capsys,
+                                             intensity):
+    corpus = tmp_path / "c"
+    (corpus / "A").mkdir(parents=True)
+    rng = random.Random(41)
+    img, _, _ = render_word(rng, glyph_bank, "Kannada", n_glyphs=2, height=20)
+    ok = corpus / "A" / "ok.pgm"
+    write_pgm(str(ok), page_to_gray(img))
+    uniform = corpus / "A" / "uniform.pgm"
+    write_pgm(str(uniform), np.full((12, 20), intensity, np.uint8))
+
+    assert cli.main(["classify", "--model", str(small_corpus["model"]), str(ok), str(uniform)]) == 0
+    captured = capsys.readouterr()
+    assert f"skipping {uniform}: word image contains no ink" in captured.err
+    assert [line.split(",")[0] for line in captured.out.splitlines()] == [str(ok)]
+
+    assert cli.main(["extract", str(corpus)]) == 0
+    captured = capsys.readouterr()
+    assert f"skipping {uniform}: word image contains no ink" in captured.err
+    assert [parse_feature_line(line)[0] for line in captured.out.splitlines()] == ["A/ok.pgm"]
+
+
 def test_gen_corpus_perturbation_flags(tmp_path, capsys):
     out = tmp_path / "pert"
     code = cli.main(
@@ -506,3 +564,13 @@ def test_config_overrides_and_validation(tmp_path, glyph_bank, capsys):
 
     bad.write_text("k=4\n")  # even k rejected
     assert cli.main(["--config", str(bad), "preprocess", str(src), "--out", str(out)]) == 2
+
+
+def test_config_rejects_repeated_key(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text("k=3\n# a later override would silently win\nk = 5\n")
+    message = f"{cfgfile}:3: repeated config entry 'k = 5'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_config(str(cfgfile))
+    assert cli.main(["--config", str(cfgfile), "evaluate", "x.csv", "--loo"]) == 2
+    assert f"{cfgfile}:3: repeated" in capsys.readouterr().err

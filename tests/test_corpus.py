@@ -34,8 +34,8 @@ def test_glyph_bank_structure(glyph_bank):
         for g in glyphs:
             assert g.any(axis=1).all(), cls  # trimmed: ink in every row
             assert g.any(axis=0).all(), cls
-            stats, _ = connected_components(g, 8)
-            assert len(stats) == 1, cls  # one component per glyph
+            _, area = connected_components(g, 8)
+            assert len(area) == 1, cls  # one component per glyph
 
 
 def test_load_glyphs_missing_root(tmp_path):
@@ -73,12 +73,12 @@ def test_render_word_component_counts(glyph_bank):
         img, ids, h = render_word(rng, glyph_bank, "EnglishNumeral", n_glyphs=n, height=20)
         assert img.shape[0] == 20
         assert len(ids) == n
-        stats, _ = connected_components(img, 8)
-        assert len(stats) == n  # digits stay separate
+        _, area = connected_components(img, 8)
+        assert len(area) == n  # digits stay separate
 
         img, _, _ = render_word(rng, glyph_bank, "Devnagari", n_glyphs=n, height=20)
-        stats, _ = connected_components(img, 8)
-        assert len(stats) == 1  # headline fuses the word
+        _, area = connected_components(img, 8)
+        assert len(area) == 1  # headline fuses the word
 
 
 def test_render_word_height_range(glyph_bank):

@@ -43,7 +43,7 @@ def test_word_image_crops_tight():
     w = word_from(img)
     assert w.img.shape == (4, 5)
     assert w.img.any(axis=1).all() and w.img.any(axis=0).all()
-    assert len(w.components) == 1
+    assert len(w.area) == 1
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
@@ -89,12 +89,12 @@ def thin_words(draw, max_len=40):
 def test_word_image_components_match_flood_fill_on_thin_words(img):
     w = word_from(img)
     oracle = flood_components(w.img, connectivity=8)
-    assert len(w.components) == len(oracle)
+    assert len(w.area) == len(oracle)
     for i, pixels in enumerate(oracle):
         rows = [p[0] for p in pixels]
         cols = [p[1] for p in pixels]
-        assert w.components.area[i] == len(pixels)
-        assert w.components.bbox[i].tolist() == [min(rows), min(cols), max(rows), max(cols)]
+        assert w.area[i] == len(pixels)
+        assert w.geometry.bbox[i].tolist() == [min(rows), min(cols), max(rows), max(cols)]
 
 
 # ---------------------------------------------------------------- SE length
@@ -329,6 +329,11 @@ def test_word_geometry_computed_once(geometry_calls):
     assert geometry_calls == []
     extract_features(word)
     assert geometry_calls == [word.img.shape]
+    # every later reader shares the cached pass
+    for reader in (se_length_for, aar, avg_eccentricity, avg_extent):
+        reader(word)
+    assert word.geometry is word.geometry
+    assert geometry_calls == [word.img.shape]
 
 
 def test_word_path_validation_count(monkeypatch):
@@ -419,7 +424,7 @@ def test_regional_means_fold_left_to_right():
     # feature bytes would depend on the interpreter version
     assert _fold_mean([1.0, 1 / 3, 1.0]) != math.fsum([1.0, 1 / 3, 1.0]) / 3
     w = word_from([[1, 0, 1, 1, 1, 0, 1]])
-    c = w.components
+    c = w.geometry
     assert c.bbox.tolist() == [[0, 0, 0, 0], [0, 2, 0, 4], [0, 6, 0, 6]]
     assert aar(w) == _fold_mean([1 / 1, 1 / 3, 1 / 1])
     ecc = [minor / major for minor, major in zip(c.minor_axis_len.tolist(), c.major_axis_len.tolist())]

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import brute_otsu, flood_components, moment_axes
+from scriptid import imaging
 from scriptid.imaging import (
     as_binary,
     as_gray,
     binarize,
+    component_geometry,
     connected_components,
     otsu_threshold,
     remove_small_objects,
@@ -93,18 +95,19 @@ def test_binarize_monotone_in_threshold(rng):
 
 # ---------------------------------------------------------------- components
 def test_components_empty_image():
-    comps, labels = connected_components(np.zeros((5, 5), np.uint8))
-    assert len(comps) == 0
-    assert comps.bbox.shape == (0, 4)
-    assert comps.centroid.shape == (0, 2)
+    labels, area = connected_components(np.zeros((5, 5), np.uint8))
+    assert len(area) == 0
+    geom = component_geometry(labels, area)
+    assert geom.bbox.shape == (0, 4)
+    assert geom.centroid.shape == (0, 2)
     assert not labels.any()
 
 
 def test_components_diagonal_connectivity():
     img = np.zeros((4, 4), np.uint8)
     img[1, 1] = img[2, 2] = 1
-    assert len(connected_components(img, connectivity=8)[0]) == 1
-    assert len(connected_components(img, connectivity=4)[0]) == 2
+    assert len(connected_components(img, connectivity=8)[1]) == 1
+    assert len(connected_components(img, connectivity=4)[1]) == 2
 
 
 @st.composite
@@ -125,49 +128,51 @@ def ink_images(draw, max_side=40):
 @example(img=np.eye(5, dtype=np.uint8)[::-1], conn=4)
 @example(img=np.zeros((3, 2), np.uint8), conn=8)
 def test_components_match_flood_fill_oracle(img, conn):
-    comps, labels = connected_components(img, connectivity=conn)
+    labels, area = connected_components(img, connectivity=conn)
+    geom = component_geometry(labels, area)
     oracle = flood_components(img, connectivity=conn)
-    assert labels.dtype == np.int32
+    assert labels.dtype == np.intp
     assert np.array_equal(labels > 0, img == 1)
-    assert len(comps) == len(oracle)
+    assert len(area) == len(oracle)
     # the oracle lists components by raster-first pixel, so this pins the
     # order; entry i describes label i + 1
     for i, pixels in enumerate(oracle):
         assert set(zip(*np.nonzero(labels == i + 1))) == pixels
-        assert comps.area[i] == len(pixels)
+        assert area[i] == len(pixels)
         rows = [p[0] for p in pixels]
         cols = [p[1] for p in pixels]
-        assert comps.bbox[i].tolist() == [min(rows), min(cols), max(rows), max(cols)]
+        assert geom.bbox[i].tolist() == [min(rows), min(cols), max(rows), max(cols)]
 
 
 def test_components_labels_partition_ink(rng):
     img = (rng.random((40, 40)) < 0.3).astype(np.uint8)
-    comps, labels = connected_components(img)
+    labels, area = connected_components(img)
     assert np.array_equal(labels > 0, img == 1)
-    assert comps.area.sum() == img.sum()
+    assert area.sum() == img.sum()
 
 
 def test_components_raster_discovery_order(rng):
     img = (rng.random((30, 30)) < 0.1).astype(np.uint8)
-    _, labels = connected_components(img)
+    labels, _ = connected_components(img)
     flat = labels.ravel()
     firsts = [np.flatnonzero(flat == lab)[0] for lab in range(1, flat.max() + 1)]
     assert firsts == sorted(firsts)
 
 
 def test_components_label_map_is_read_only(rng, geometry_calls):
-    # the record computes its geometry from the map later, so a write
-    # into the returned map must not be able to make it stale
+    # a word computes its geometry from the map later, so a write into
+    # the returned map must not be able to make it stale
     img = (rng.random((20, 20)) < 0.3).astype(np.uint8)
-    comps, labels = connected_components(img)
-    assert comps.labels is labels
+    labels, area = connected_components(img)
+    assert labels.dtype == np.intp
     assert not labels.flags.writeable
     with pytest.raises(ValueError):
         labels[0, 0] = 7
-    assert geometry_calls == []
-    assert comps.bbox.shape == (len(comps), 4)
-    assert comps.centroid.shape == (len(comps), 2)
-    assert len(comps.major_axis_len) == len(comps.minor_axis_len) == len(comps)
+    assert geometry_calls == []  # labeling alone makes no moment pass
+    geom = imaging.component_geometry(labels, area)
+    assert geom.bbox.shape == (len(area), 4)
+    assert geom.centroid.shape == (len(area), 2)
+    assert len(geom.major_axis_len) == len(geom.minor_axis_len) == len(area)
     assert geometry_calls == [(20, 20)]  # one pass serves every field
 
 
@@ -177,35 +182,41 @@ def test_components_rejects_bad_connectivity():
 
 
 # ---------------------------------------------------------------- geometry
+def _components(img):
+    """``(area, geometry)`` of a binary image's 8-components."""
+    labels, area = connected_components(np.asarray(img, dtype=np.uint8))
+    return area, component_geometry(labels, area)
+
+
 def _single_component(img):
-    comps, _ = connected_components(np.asarray(img, dtype=np.uint8))
-    assert len(comps) == 1
-    return comps
+    area, geom = _components(img)
+    assert len(area) == 1
+    return area, geom
 
 
-def _eccentricity(comps):
-    return comps.minor_axis_len / comps.major_axis_len
+def _eccentricity(geom):
+    return geom.minor_axis_len / geom.major_axis_len
 
 
-def _extent(comps):
-    r0, c0, r1, c1 = comps.bbox.T
-    return comps.area / ((r1 - r0 + 1) * (c1 - c0 + 1))
+def _extent(area, geom):
+    r0, c0, r1, c1 = geom.bbox.T
+    return area / ((r1 - r0 + 1) * (c1 - c0 + 1))
 
 
 def test_eccentricity_single_pixel_is_one():
-    c = _single_component([[0, 0], [0, 1]])
+    _, c = _single_component([[0, 0], [0, 1]])
     assert _eccentricity(c)[0] == pytest.approx(1.0)
 
 
 def test_eccentricity_filled_square_is_one():
-    c = _single_component(np.ones((9, 9)))
+    _, c = _single_component(np.ones((9, 9)))
     assert _eccentricity(c)[0] == pytest.approx(1.0)
 
 
 def test_eccentricity_bar_matches_moment_oracle():
     img = np.zeros((3, 12), np.uint8)
     img[1, 1:11] = 1
-    c = _single_component(img)
+    _, c = _single_component(img)
     major, minor = moment_axes(list(zip(*np.nonzero(img))))
     assert c.major_axis_len[0] == pytest.approx(major, rel=1e-12)
     assert c.minor_axis_len[0] == pytest.approx(minor, rel=1e-12)
@@ -217,31 +228,32 @@ def test_axis_lengths_match_oracle_on_random_blobs(rng):
         img = (rng.random((20, 20)) < 0.3).astype(np.uint8)
         if not img.any():
             continue
-        comps, labels = connected_components(img)
-        for i in range(len(comps)):
+        labels, area = connected_components(img)
+        geom = component_geometry(labels, area)
+        for i in range(len(area)):
             pixels = list(zip(*np.nonzero(labels == i + 1)))
             major, minor = moment_axes(pixels)
-            assert comps.major_axis_len[i] == pytest.approx(major, rel=1e-9)
-            assert comps.minor_axis_len[i] == pytest.approx(minor, rel=1e-9)
+            assert geom.major_axis_len[i] == pytest.approx(major, rel=1e-9)
+            assert geom.minor_axis_len[i] == pytest.approx(minor, rel=1e-9)
 
 
 def test_geometry_ranges_on_random_images(rng):
     for _ in range(50):
         img = (rng.random((24, 24)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
-        c, _ = connected_components(img)
+        area, c = _components(img)
         assert (0.0 <= _eccentricity(c)).all() and (_eccentricity(c) <= 1.0 + 1e-12).all()
-        assert (0.0 < _extent(c)).all() and (_extent(c) <= 1.0).all()
+        assert (0.0 < _extent(area, c)).all() and (_extent(area, c) <= 1.0).all()
         assert (c.minor_axis_len <= c.major_axis_len + 1e-12).all()
         assert ((c.bbox[:, 0] <= c.centroid[:, 0]) & (c.centroid[:, 0] <= c.bbox[:, 2])).all()
         assert ((c.bbox[:, 1] <= c.centroid[:, 1]) & (c.centroid[:, 1] <= c.bbox[:, 3])).all()
 
 
 def test_extent_trivial_cases():
-    assert _extent(_single_component(np.ones((4, 7))))[0] == pytest.approx(1.0)
+    assert _extent(*_single_component(np.ones((4, 7))))[0] == pytest.approx(1.0)
     plus = np.zeros((3, 3), np.uint8)
     plus[1, :] = 1
     plus[:, 1] = 1
-    assert _extent(_single_component(plus))[0] == pytest.approx(5 / 9)
+    assert _extent(*_single_component(plus))[0] == pytest.approx(5 / 9)
 
 
 # ---------------------------------------------------------------- despeckle
@@ -270,6 +282,22 @@ def test_remove_small_objects_matches_component_oracle(rng):
                         expected[r, c] = 1
             assert out.dtype == np.uint8
             assert np.array_equal(out, expected), min_area
+
+
+def test_remove_small_objects_reads_only_areas(rng, monkeypatch, geometry_calls):
+    # one labeling through connected_components, and no moment pass
+    labelings = []
+    real = imaging.connected_components
+
+    def counting(img, *args, **kwargs):
+        labelings.append(np.shape(img))
+        return real(img, *args, **kwargs)
+
+    monkeypatch.setattr(imaging, "connected_components", counting)
+    img = (rng.random((32, 32)) < 0.3).astype(np.uint8)
+    remove_small_objects(img, min_area=5)
+    assert labelings == [(32, 32)]
+    assert geometry_calls == []
 
 
 def test_remove_small_objects_idempotent(rng):
