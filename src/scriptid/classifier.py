@@ -41,6 +41,7 @@ __all__ = [
     "EvalReport",
     "Model",
     "ModelFormatError",
+    "check_k",
     "classify_knn",
     "classify_nn",
     "distance",
@@ -57,6 +58,15 @@ _BLOCK_CELLS = 8192
 
 class ModelFormatError(ValueError):
     """Unreadable, unknown-version or incompatible model file."""
+
+
+def check_k(k: int, n: int) -> int:
+    """``k`` if a model of ``n`` samples may keep it (odd, in 1..n); else ``ValueError``."""
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} must lie in 1..{n}")
+    if k % 2 == 0:
+        raise ValueError(f"k must be odd, got {k}")
+    return k
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +94,7 @@ class Model:
             raise ValueError("feature vectors must be finite (no nan or inf)")
         if len(self.labels) != v.shape[0]:
             raise ValueError("one label per sample required")
-        if not 1 <= self.k <= v.shape[0]:
-            raise ValueError(f"k={self.k} must lie in 1..{v.shape[0]}")
-        if self.k % 2 == 0:
-            raise ValueError(f"k must be odd, got {self.k}")
+        check_k(self.k, v.shape[0])
         by_feature = np.ascontiguousarray(v.T)
         v.flags.writeable = False
         by_feature.flags.writeable = False

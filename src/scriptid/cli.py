@@ -1,10 +1,10 @@
-"""Batch command-line frontend.
+"""Batch command-line frontend over ``scriptid.pipeline``.
 
-Subcommands wire the library end to end: ``preprocess`` (binarize,
-despeckle, deskew), ``segment`` (page -> word files), ``extract``
-(word images -> feature dump), ``train`` (dump -> model), ``classify``
-(words or whole pages), ``evaluate`` (accuracy report + confusion
-matrix) and ``gen-corpus`` (synthetic labeled corpus).
+Subcommands parse arguments, read and write files and time words:
+``preprocess`` (binarize, despeckle, deskew), ``segment`` (page -> word
+files), ``extract`` (word images -> feature dump), ``train`` (dump ->
+model), ``classify`` (words or whole pages), ``evaluate`` (accuracy
+report + confusion matrix) and ``gen-corpus`` (synthetic labeled corpus).
 
 Every command writes primary outputs atomically (temp file + rename)
 and exits nonzero on failure, so a crashed run never leaves a partial
@@ -23,50 +23,17 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage as ndi
 
-from scriptid import classifier, corpus, features, imaging, netpbm, segmentation
-from scriptid._util import label_structure, write_text_atomic
+from scriptid import classifier, corpus, features, imaging, netpbm, pipeline
+from scriptid._util import write_text_atomic
 from scriptid.config import PipelineConfig, load_config
 
 IMAGE_SUFFIXES = (".pbm", ".pgm")
 
 
-def _otsu_binarize(gray: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(binary, Otsu threshold)``; an image of one intensity is all
-    background (Otsu's threshold lies below any other image's top)."""
-    t = imaging.otsu_threshold(gray)
-    binary = imaging.binarize(gray, t)
-    if binary.all():
-        binary[...] = 0
-    return binary, t
-
-
-def _load_word_binary(path: str) -> np.ndarray:
-    """Load a word/page image; PGM input is Otsu-binarized."""
-    kind, img = netpbm.read(path)
-    if kind == "binary":
-        return img
-    return _otsu_binarize(img)[0]
-
-
-def _preprocess_page(gray: np.ndarray, cfg: PipelineConfig):
-    page, t = _otsu_binarize(gray)
-    page = imaging.remove_small_objects(page, min_area=cfg.min_area)
-    page, angle = segmentation.deskew(
-        page,
-        max_angle=cfg.deskew_max_angle,
-        step=cfg.deskew_step,
-        dilate_len=cfg.deskew_dilate_len,
-        min_area=cfg.min_area,
-    )
-    return page, t, angle
-
-
 def cmd_preprocess(args, cfg: PipelineConfig) -> int:
-    gray = netpbm.read_gray(args.input)
-    page, t, angle = _preprocess_page(gray, cfg)
-    _, n_components = ndi.label(page, structure=label_structure(8))
+    page, t, angle = pipeline.preprocess(netpbm.read_gray(args.input), cfg)
+    n_components = len(imaging.connected_components(page)[1])
     netpbm.write_pbm(args.out, page)
     report = f"threshold={t}\nskew_degrees={angle:.2f}\ncomponents={n_components}\n"
     write_text_atomic(args.out + ".report.txt", report)
@@ -74,29 +41,12 @@ def cmd_preprocess(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _segment_page(page: np.ndarray, cfg: PipelineConfig):
-    """``(name, box, crop)`` per word of a binary page, names ``L###_W###``."""
-    bands = segmentation.segment_lines(
-        page, tau_line=cfg.tau_line, min_line_height=cfg.min_line_height
-    )
-    out = []
-    for li, band in enumerate(bands, start=1):
-        boxes = segmentation.segment_words(
-            page, band, tau_word=cfg.tau_word,
-            gap_frac=cfg.gap_frac, gap_min_floor=cfg.gap_min_floor,
-        )
-        for wi, box in enumerate(boxes, start=1):
-            crop = page[box.line.row_start : box.line.row_end + 1, box.col_start : box.col_end + 1]
-            out.append((f"L{li:03d}_W{wi:03d}", box, crop))
-    return out
-
-
 def cmd_segment(args, cfg: PipelineConfig) -> int:
     page = netpbm.read_binary(args.page)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for name, box, crop in _segment_page(page, cfg):
+    for name, box, crop in pipeline.words(page, cfg):
         netpbm.write_pbm(str(out_dir / f"{name}.pbm"), crop)
         manifest.append(
             f"{name}.pbm,{box.line.row_start},{box.line.row_end},{box.col_start},{box.col_end}"
@@ -107,16 +57,14 @@ def cmd_segment(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _extract_one(task: tuple[str, str, str, float, int]) -> tuple[str, str, list[float]] | str:
+def _extract_one(task: tuple[str, str, str, PipelineConfig]) -> tuple[str, str, np.ndarray] | str:
     """``(name, label, vector)`` of one word file, or the text of its
     read or input error; any other exception is a program fault and propagates."""
-    path, name, label, ratio, min_len = task
+    path, name, label, cfg = task
     try:
-        word = features.WordImage.from_image(_load_word_binary(path))
-        vec = features.extract_features(word, ratio=ratio, min_len=min_len)
+        return name, label, pipeline.vector(pipeline.load_binary(path), cfg)
     except (OSError, ValueError) as exc:
         return str(exc)
-    return name, label, [float(v) for v in vec]
 
 
 def _collect_corpus_files(root: Path) -> list[tuple[str, str, str]]:
@@ -139,7 +87,7 @@ def cmd_extract(args, cfg: PipelineConfig) -> int:
     if not entries:
         print(f"scriptid: error: no class directories with images under {root}", file=sys.stderr)
         return 1
-    tasks = [(p, name, lab, cfg.se_ratio, cfg.se_min_len) for p, name, lab in entries]
+    tasks = [(p, name, lab, cfg) for p, name, lab in entries]
 
     # one map, in this process or over a pool with about four chunks per worker
     workers = min(args.jobs, len(tasks))
@@ -159,10 +107,7 @@ def cmd_extract(args, cfg: PipelineConfig) -> int:
         print("scriptid: error: no images could be processed", file=sys.stderr)
         return 1
     results.sort(key=lambda r: r[0])
-    lines = [
-        features.format_feature_line(path, label, np.array(vec)) for path, label, vec in results
-    ]
-    text = "".join(line + "\n" for line in lines)
+    text = "".join(features.format_feature_line(*r) + "\n" for r in results)
     if args.out:
         write_text_atomic(args.out, text)
         print(f"{len(results)} words -> {args.out}" + (f" ({failures} skipped)" if failures else ""))
@@ -201,30 +146,27 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     return 0
 
 
+def _predict(model: classifier.Model, k: int, cfg: PipelineConfig, name: str, img) -> str:
+    """The ``name,label,confidence,seconds`` line of one word image."""
+    start = time.perf_counter()
+    label, votes = classifier.classify_knn(model, pipeline.vector(img, cfg), k)
+    elapsed = time.perf_counter() - start
+    return f"{name},{label},{votes[label] / k:.4f},{elapsed:.6f}"
+
+
 def cmd_classify(args, cfg: PipelineConfig) -> int:
     model = classifier.load_model(args.model)
-    k = args.k if args.k is not None else model.k
-    out_lines = []
-
-    def classify_crop(name: str, crop: np.ndarray) -> None:
-        start = time.perf_counter()
-        word = features.WordImage.from_image(crop)
-        vec = features.extract_features(word, ratio=cfg.se_ratio, min_len=cfg.se_min_len)
-        label, votes = classifier.classify_knn(model, vec, k)
-        elapsed = time.perf_counter() - start
-        conf = votes[label] / k
-        out_lines.append(f"{name},{label},{conf:.4f},{elapsed:.6f}")
-
+    k = classifier.check_k(args.k if args.k is not None else model.k, len(model))
     if args.page:
-        page = _load_word_binary(args.page)
-        page = imaging.remove_small_objects(page, min_area=cfg.min_area)
-        for name, _, crop in _segment_page(page, cfg):
-            classify_crop(name, crop)
+        page = imaging.remove_small_objects(pipeline.load_binary(args.page), min_area=cfg.min_area)
+        crops = pipeline.words(page, cfg)
+        out_lines = [_predict(model, k, cfg, name, crop) for name, _, crop in crops]
     else:
         # one unreadable or blank word is skipped, not the whole batch
+        out_lines = []
         for path in sorted(args.words):
             try:
-                classify_crop(path, _load_word_binary(path))
+                out_lines.append(_predict(model, k, cfg, path, pipeline.load_binary(path)))
             except (OSError, ValueError) as exc:
                 print(f"scriptid: warning: skipping {path}: {exc}", file=sys.stderr)
         if not out_lines:
@@ -261,7 +203,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     vectors, labels = _read_dump(args.dump)
     k = args.k if args.k is not None else cfg.k
     if args.loo:
-        model = classifier.Model(vectors=vectors, labels=labels, k=k)
+        model = classifier.Model(vectors, labels, k=classifier.check_k(k, len(labels) - 1))
         nn_report = classifier.leave_one_out(model, k=1)
         knn_report = classifier.leave_one_out(model, k=k)
     else:
@@ -269,6 +211,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
             print("scriptid: error: --model is required without --loo", file=sys.stderr)
             return 2
         model = classifier.load_model(args.model)
+        classifier.check_k(k, len(model))
         test = list(zip(vectors, labels))
         nn_report = classifier.evaluate(model, test, k=1)
         knn_report = classifier.evaluate(model, test, k=k)

@@ -88,6 +88,8 @@ def _line_filter(b: np.ndarray, se: StructuringElement, op) -> np.ndarray:
         dr, dc = -dr, -dc
     n, half = se.length, se.length // 2
     h, w = b.shape
+    if half > max(h, w):  # the line leaves the image either way: same result
+        n, half = 2 * max(h, w) + 1, max(h, w)
     pr, pc = half * dr, half * abs(dc)
     win = np.zeros((h + 2 * pr, w + 2 * pc), dtype=np.uint8)
     win[pr : pr + h, pc : pc + w] = b

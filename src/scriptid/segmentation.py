@@ -210,8 +210,9 @@ def deskew(
         raise ValueError(f"dilate_len must be >= 1, got {dilate_len}")
     b = as_binary(page)
     # vertical dilation: rows -(L//2) .. L-L//2-1 around each pixel, so an
-    # even length reaches one row further up than down
-    blobs = ndi.maximum_filter1d(b, dilate_len, axis=0, mode="constant", cval=0)
+    # even length reaches one row further up than down; from L = 2h on it
+    # is each column's OR, so longer lengths change nothing
+    blobs = ndi.maximum_filter1d(b, min(dilate_len, 2 * len(b)), axis=0, mode="constant", cval=0)
     labels, area = connected_components(blobs, connectivity=8)
     keep = np.concatenate(([False], area >= min_area))  # indexed by label
     if np.count_nonzero(keep) < 2:

@@ -289,6 +289,17 @@ def test_loo_rejects_k_outside_one_to_n_minus_one(rng, k):
     assert leave_one_out(m, k=9).total == 10
 
 
+def test_library_accepts_even_k_per_query(rng):
+    # the CLI holds k to the Model rule; the library's per-call k may be even
+    m = make_model(rng, n_per_class=5, classes=("A", "B"), k=1)
+    q = m.vectors[0]
+    assert sum(classify_knn(m, q, 2)[1].values()) == 2
+    assert evaluate(m, [(q, m.labels[0])], k=2).total == 1
+    with pytest.raises(ValueError, match="k must be odd, got 2"):
+        classifier.check_k(2, len(m))
+    assert classifier.check_k(9, len(m)) == 9
+
+
 @st.composite
 def grid_models(draw):
     """Integer-grid models of 1-150 samples (exact distances, frequent

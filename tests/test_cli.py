@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scriptid import cli, features
+from scriptid import classifier, cli, features
 from scriptid.classifier import load_model
 from scriptid.config import PipelineConfig, load_config
 from scriptid.corpus import render_page, render_word, sprinkle_speckles
@@ -407,6 +407,85 @@ def test_classify_bad_k_fails(small_corpus, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "k=99 must lie in" in captured.err
+
+
+def word_image_calls(monkeypatch) -> list:
+    """Records one entry per ``features.WordImage.from_image`` call."""
+    calls = []
+    real = features.WordImage.from_image.__func__
+
+    def from_image(cls, img):
+        calls.append("from_image")
+        return real(cls, img)
+
+    monkeypatch.setattr(features.WordImage, "from_image", classmethod(from_image))
+    return calls
+
+
+def test_classify_checks_k_once_before_any_word(small_corpus, monkeypatch, capsys):
+    words = [str(p) for p in sorted((small_corpus["corpus"] / "Kannada").glob("*.pbm"))[:3]]
+    made = word_image_calls(monkeypatch)
+    assert cli.main(["classify", "--model", str(small_corpus["model"]), "--k", "99", *words]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    n = len(load_model(str(small_corpus["model"])))
+    assert err.splitlines() == [f"scriptid: error: k=99 must lie in 1..{n}"]
+    assert made == []
+
+
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
+def test_even_k_fails_against_a_model(small_corpus, monkeypatch, capsys, command):
+    # the Model rule: a model file can hold no even k, so --k may not be even either
+    model = str(small_corpus["model"])
+    if command == "classify":
+        word = str(next((small_corpus["corpus"] / "Kannada").glob("*.pbm")))
+        args = ["classify", "--model", model, "--k", "2", word]
+    else:
+        args = ["evaluate", str(small_corpus["dump"]), "--model", model, "--k", "2"]
+    made = word_image_calls(monkeypatch)
+    assert cli.main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "scriptid: error: k must be odd, got 2\n"
+    assert made == []
+
+
+def test_evaluate_loo_checks_k_against_the_other_samples(small_corpus, capsys):
+    dump = str(small_corpus["dump"])
+    n = len(Path(dump).read_text().splitlines())  # 36: the last odd k is n - 1 = 35
+    assert cli.main(["evaluate", dump, "--loo", "--k", str(n + 1)]) == 1
+    assert capsys.readouterr().err == f"scriptid: error: k={n + 1} must lie in 1..{n - 1}\n"
+    assert cli.main(["evaluate", dump, "--loo", "--k", str(n - 1)]) == 0
+
+
+def test_classify_page_calls_each_word_in_clock_order(tmp_path, glyph_bank, small_corpus,
+                                                      monkeypatch, capsys):
+    # a per-word clock starts in WordImage.from_image and stops when
+    # classify_knn returns: each word must make exactly these three calls,
+    # in this order, one word at a time
+    calls = word_image_calls(monkeypatch)
+    extract, knn = features.extract_features, classifier.classify_knn
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(features, "extract_features", recording("extract_features", extract))
+    monkeypatch.setattr(classifier, "classify_knn", recording("classify_knn", knn))
+    page, truth = render_page(random.Random(12), glyph_bank, n_lines=2, words_per_line=(3, 3))
+    src = tmp_path / "page.pbm"
+    write_pbm(str(src), page)
+    assert cli.main(["classify", "--model", str(small_corpus["model"]), "--page", str(src)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == len(truth.words) > 0
+    assert calls == ["from_image", "extract_features", "classify_knn"] * len(rows)
+
+    calls.clear()
+    assert cli.main(["extract", str(small_corpus["corpus"]), "--out", str(tmp_path / "d.csv")]) == 0
+    n_files = len(list(small_corpus["corpus"].glob("*/*.pbm")))
+    assert calls == ["from_image", "extract_features"] * n_files > []
 
 
 def test_classify_page_binarizes_but_does_not_deskew(tmp_path, glyph_bank, small_corpus, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage as ndi
@@ -121,6 +123,22 @@ def test_erode_dilate_duality_in_interior(rng):
             a = dilate(img, se)
             b = complement(erode(complement(img), se))
             assert np.array_equal(a[2:-2, 2:-2], b[2:-2, 2:-2])
+
+
+def test_se_longer_than_image_costs_the_image_size(rng):
+    # from half-length max(h, w) on, every line leaves the image on both
+    # sides, so a longer SE gives the same result and must not pad by its length
+    word = rand_img(rng, 20, 50, 0.7)
+    for op in (erode, dilate):
+        for d in (0, 45, 90, 135):
+            tracemalloc.start()
+            try:
+                out = op(word, line_se(d, 2_000_001))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (op.__name__, d, peak)
+            assert np.array_equal(out, op(word, line_se(d, 2 * 50 + 1))), (op.__name__, d)
 
 
 # ---------------------------------------------------------------- opening

@@ -287,6 +287,29 @@ def test_deskew_vertical_dilation_matches_window_oracle(rng, monkeypatch):
             assert np.array_equal(seen[0], naive_vertical_dilation(page, length)), length
 
 
+def test_deskew_dilation_longer_than_twice_the_page_is_clamped(rng, monkeypatch):
+    # from L = 2h on the vertical dilation is each column's OR, so deskew
+    # filters with at most 2h rows whatever length it is given
+    sizes = []
+    dilate = segmentation.ndi.maximum_filter1d
+
+    def capture(img, size, *args, **kwargs):
+        sizes.append(size)
+        return dilate(img, size, *args, **kwargs)
+
+    monkeypatch.setattr(segmentation.ndi, "maximum_filter1d", capture)
+    page = (rng.random((12, 40)) < 0.05).astype(np.uint8)
+    page[3, 1:39] = 1
+    page[8, 1:39] = 1
+    want = deskew(page, dilate_len=24)
+    for length in (25, 1_000_000):
+        got = deskew(page, dilate_len=length)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert sizes == [24, 24, 24]
+    column_or = np.broadcast_to(page.any(axis=0), page.shape)
+    assert np.array_equal(naive_vertical_dilation(page, 24), column_or)
+
+
 def test_deskew_rejects_nonpositive_dilate_len():
     page = np.zeros((10, 10), np.uint8)
     with pytest.raises(ValueError, match="dilate_len"):
