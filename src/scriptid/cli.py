@@ -201,8 +201,8 @@ def _confusion_csv(report: classifier.EvalReport) -> str:
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     vectors, labels = _read_dump(args.dump)
-    k = args.k if args.k is not None else cfg.k
     if args.loo:
+        k = args.k if args.k is not None else cfg.k
         model = classifier.Model(vectors, labels, k=classifier.check_k(k, len(labels) - 1))
         nn_report = classifier.leave_one_out(model, k=1)
         knn_report = classifier.leave_one_out(model, k=k)
@@ -211,7 +211,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
             print("scriptid: error: --model is required without --loo", file=sys.stderr)
             return 2
         model = classifier.load_model(args.model)
-        classifier.check_k(k, len(model))
+        k = classifier.check_k(args.k if args.k is not None else model.k, len(model))
         test = list(zip(vectors, labels))
         nn_report = classifier.evaluate(model, test, k=1)
         knn_report = classifier.evaluate(model, test, k=k)
@@ -293,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="accuracy report and confusion matrix")
     p.add_argument("dump", help="labeled feature dump")
     p.add_argument("--model", help="model file (omit with --loo)")
-    p.add_argument("--k", type=int, help="neighbour count")
+    p.add_argument("--k", type=int, help="neighbour count (default from model, or config with --loo)")
     p.add_argument("--loo", action="store_true", help="leave-one-out over the dump itself")
     p.add_argument("--report", help="also write the text report to this path")
     p.add_argument("--csv", help="write the KNN confusion matrix as CSV")

@@ -8,10 +8,12 @@ every operation in the package is a pure function of its inputs, so
 images can be processed in parallel without coordination.
 
 Component labeling is two functions.  ``connected_components``
-returns a read-only ``np.intp`` label map and the area of each label;
-despeckling and deskew read only those.  ``component_geometry`` makes
-the one moment pass behind bounding boxes, centroids and axis lengths,
-for the callers that need them (a word, once).
+returns a read-only ``np.intp`` label map and the area of each label,
+counted over the ink pixels alone (a page's label map is mostly
+background); despeckling and deskew read only those.
+``component_geometry`` makes the one moment pass behind bounding
+boxes, centroids and axis lengths, for the callers that need them (a
+word, once).
 """
 
 from __future__ import annotations
@@ -144,12 +146,12 @@ def connected_components(img, connectivity: int = 8) -> tuple[np.ndarray, np.nda
     That order is ``ndi.label``'s own (its union-find keeps the smallest
     label as root and numbers roots in increasing order), and the tests
     pin it against a flood-fill oracle.  ``area[i]`` is the pixel count
-    of label ``i + 1``.
+    of label ``i + 1``, counted over the ink pixels only.
     """
     b = as_binary(img)
     labels, n = ndi.label(b, structure=label_structure(connectivity), output=np.intp)
     labels.flags.writeable = False
-    area = np.bincount(labels.ravel(), minlength=n + 1)[1:]
+    area = np.bincount(labels.ravel().compress(b.ravel().view(bool)), minlength=n + 1)[1:]
     return labels, area
 
 

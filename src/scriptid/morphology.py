@@ -7,12 +7,16 @@ background for erosion and dilation, so an SE must fit entirely inside
 the image (over ink) for a pixel to survive erosion.
 
 Erosion by a line SE of length L is the AND of the L pixels of the
-centred line and dilation the OR (the SE is symmetric, so dilating by
-its reflection is the same window).  Both pad the word with background
-along the SE step and double the window: 2k pixels are two windows of
-k pixels k apart, so ceil(log2 L) bitwise passes over shifted slices
-are exact (the logarithmic line decomposition of van den Boomgaard &
-van Balen, CVGIP: GMIP 1992), diagonals included, with no shear.
+line through each pixel and dilation the OR.  The window holds L//2
+steps before the pixel and L - 1 - L//2 after it, so an odd line is
+centred and an even one reaches one step further back than forward;
+erosion and dilation read the same window, which is dilation by the
+reflected SE.  Both pad the image with background along the SE step
+and double the window: 2k pixels are two windows of k pixels k apart,
+so ceil(log2 L) bitwise passes over shifted slices are exact (the
+logarithmic line decomposition of van den Boomgaard & van Balen,
+CVGIP: GMIP 1992), diagonals included, with no shear.  ``deskew``'s
+vertical dilation is this filter too.
 Binary reconstruction by dilation is the union of the mask's connected
 components that the marker touches (Vincent, IEEE TIP 1993), so it is
 one ``ndi.label`` plus a lookup table; hole filling labels the
@@ -54,45 +58,53 @@ _LINE_STEPS = {0: (0, 1), 45: (-1, 1), 90: (1, 0), 135: (-1, -1)}
 
 @dataclass(frozen=True)
 class StructuringElement:
-    """Centred digital line SE: ``length`` pixels along ``direction``."""
+    """Digital line SE: ``length`` pixels along ``direction``, through the
+    origin (centred when ``length`` is odd)."""
 
     direction: int
     length: int
+
+    def __post_init__(self):
+        if self.direction not in _LINE_STEPS:
+            raise ValueError(f"direction must be one of 0, 45, 90, 135; got {self.direction}")
+        if self.length < 1:
+            raise ValueError(f"length must be a positive integer, got {self.length}")
 
     @property
     def offsets(self) -> tuple[tuple[int, int], ...]:
         """The (drow, dcol) offset of every SE pixel, the origin included."""
         dr, dc = _LINE_STEPS[self.direction]
-        half = self.length // 2
-        return tuple((t * dr, t * dc) for t in range(-half, half + 1))
+        n = self.length
+        return tuple((t * dr, t * dc) for t in range(-(n // 2), n - n // 2))
 
 
 def line_se(direction: int, length: int) -> StructuringElement:
-    """Digital line SE of odd ``length`` through the origin.
+    """Centred digital line SE of odd ``length``.
 
     0 degrees is horizontal, 90 vertical; 45 and 135 are the pure
     diagonals (one pixel per row), up-right and up-left respectively.
     """
-    if direction not in _LINE_STEPS:
-        raise ValueError(f"direction must be one of 0, 45, 90, 135; got {direction}")
-    if length < 1 or length % 2 == 0:
+    if length % 2 == 0:
         raise ValueError(f"length must be a positive odd integer, got {length}")
     return StructuringElement(direction, length)
 
 
 def _line_filter(b: np.ndarray, se: StructuringElement, op) -> np.ndarray:
-    """``op`` (AND or OR) of the ``se.length`` pixels of the centred line
-    through each pixel, out-of-image pixels read as background."""
+    """``op`` (AND or OR) of the ``se.length`` pixels at ``se.offsets``
+    from each pixel, out-of-image pixels read as background."""
     dr, dc = _LINE_STEPS[se.direction]
-    if dr < 0:  # the SE is symmetric: walk the line downwards
+    before, after = se.length // 2, (se.length - 1) // 2  # window steps around a pixel
+    if dr < 0:  # walk the line downwards: the window's two sides swap
         dr, dc = -dr, -dc
-    n, half = se.length, se.length // 2
+        before, after = after, before
     h, w = b.shape
-    if half > max(h, w):  # the line leaves the image either way: same result
-        n, half = 2 * max(h, w) + 1, max(h, w)
-    pr, pc = half * dr, half * abs(dc)
-    win = np.zeros((h + 2 * pr, w + 2 * pc), dtype=np.uint8)
-    win[pr : pr + h, pc : pc + w] = b
+    # a line leaves the image within max(h, w) steps: longer sides change nothing
+    before, after = min(before, max(h, w)), min(after, max(h, w))
+    n = before + after + 1
+    top = before * dr
+    left = (before if dc >= 0 else after) * abs(dc)
+    win = np.zeros((h + (n - 1) * dr, w + (n - 1) * abs(dc)), dtype=np.uint8)
+    win[top : top + h, left : left + w] = b
     # win[p] combines pixels p .. p + (k-1) step; pairing p with p + s step
     # grows that to k + s and drops s steps, so it ends at exactly (h, w)
     k = 1

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage as ndi
 
+from scriptid import morphology
 from scriptid._util import round_half_up
 from scriptid.imaging import as_binary, connected_components
 
@@ -197,8 +197,10 @@ def deskew(
 ) -> tuple[np.ndarray, float]:
     """Estimate and remove page skew; returns (deskewed page, angle).
 
-    The page is dilated with a vertical line SE (length ``dilate_len``,
-    at least 1) so characters clump into word blobs, blobs smaller than
+    The page is dilated with ``morphology.dilate`` by a vertical line SE
+    of length ``dilate_len`` (at least 1: rows -(L//2) .. L-L//2-1 around
+    each pixel, so an even length reaches one row further up than down)
+    so characters clump into word blobs, blobs smaller than
     ``min_area`` pixels are dropped, and the skew angle is the candidate in
     [-max_angle, +max_angle] whose un-rotation packs the surviving ink
     into the sharpest horizontal bands (maximum variance of the row
@@ -209,10 +211,7 @@ def deskew(
     if dilate_len < 1:
         raise ValueError(f"dilate_len must be >= 1, got {dilate_len}")
     b = as_binary(page)
-    # vertical dilation: rows -(L//2) .. L-L//2-1 around each pixel, so an
-    # even length reaches one row further up than down; from L = 2h on it
-    # is each column's OR, so longer lengths change nothing
-    blobs = ndi.maximum_filter1d(b, min(dilate_len, 2 * len(b)), axis=0, mode="constant", cval=0)
+    blobs = morphology.dilate(b, morphology.StructuringElement(90, dilate_len))
     labels, area = connected_components(blobs, connectivity=8)
     keep = np.concatenate(([False], area >= min_area))  # indexed by label
     if np.count_nonzero(keep) < 2:

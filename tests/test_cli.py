@@ -555,6 +555,23 @@ def test_evaluate_loo_and_report_determinism(tmp_path, small_corpus, capsys):
     assert "samples=36" in r1.read_text()
 
 
+def test_evaluate_model_defaults_to_the_models_k(tmp_path, small_corpus, capsys):
+    # as classify does: without --k, evaluate --model takes the model's k;
+    # --loo has no model and keeps the config's k
+    dump, model = str(small_corpus["dump"]), str(tmp_path / "k5.txt")
+    assert cli.main(["train", dump, "--out", model, "--k", "5"]) == 0
+    capsys.readouterr()
+    assert cli.main(["evaluate", dump, "--model", model]) == 0
+    default = capsys.readouterr().out
+    assert "k=5" in default.splitlines()
+    assert cli.main(["evaluate", dump, "--model", model, "--k", "5"]) == 0
+    assert capsys.readouterr().out == default
+    assert cli.main(["evaluate", dump, "--model", model, "--k", "1"]) == 0
+    assert "k=1" in capsys.readouterr().out.splitlines()
+    assert cli.main(["evaluate", dump, "--loo"]) == 0
+    assert "k=3" in capsys.readouterr().out.splitlines()
+
+
 def test_evaluate_without_model_or_loo_is_usage_error(small_corpus, capsys):
     assert cli.main(["evaluate", str(small_corpus["dump"])]) == 2
 

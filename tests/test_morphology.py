@@ -65,6 +65,17 @@ def test_line_se_rejects_bad_arguments():
         line_se(30, 3)
 
 
+@pytest.mark.parametrize(
+    "direction, length, match",
+    [(30, 3, "direction"), (0, 0, "length"), (0, -3, "length")],
+)
+def test_structuring_element_rejects_bad_arguments(direction, length, match):
+    # an unknown direction used to raise KeyError inside erode, length 0
+    # returned the input and a negative length failed on a numpy broadcast
+    with pytest.raises(ValueError, match=match):
+        StructuringElement(direction, length)
+
+
 # ---------------------------------------------------------------- erode/dilate
 def test_erode_background_padding_on_full_image():
     img = np.ones((5, 5), np.uint8)
@@ -101,6 +112,27 @@ def test_erode_matches_naive_on_rectangles_and_long_ses(rng):
                 assert np.array_equal(erode(img, se), naive_erode(img, se.offsets)), (d, h, w, length)
 
 
+def test_even_length_se_reaches_one_step_further_back():
+    assert StructuringElement(0, 4).offsets == ((0, -2), (0, -1), (0, 0), (0, 1))
+    assert StructuringElement(45, 2).offsets == ((1, -1), (0, 0))
+    assert StructuringElement(135, 4).offsets == ((2, 2), (1, 1), (0, 0), (-1, -1))
+
+
+@pytest.mark.parametrize("direction", (0, 45, 90, 135))
+def test_line_window_of_any_length_matches_naive_oracle(rng, direction):
+    # L//2 steps before each pixel and L-1-L//2 after it, odd and even L
+    # alike; dilation ORs the same window, i.e. dilates by the reflected SE
+    for h, w in ((1, 1), (1, 9), (9, 1), (2, 6), (5, 7), (8, 3)):
+        for density in (0.5, 0.9):
+            img = rand_img(rng, h, w, density)
+            for length in range(1, 9):
+                se = StructuringElement(direction, length)
+                reflected = [(-dr, -dc) for dr, dc in se.offsets]
+                case = (h, w, length)
+                assert np.array_equal(erode(img, se), naive_erode(img, se.offsets)), case
+                assert np.array_equal(dilate(img, se), naive_dilate(img, reflected)), case
+
+
 def test_dilate_single_pixel_becomes_bar():
     img = np.zeros((5, 5), np.uint8)
     img[2, 2] = 1
@@ -131,14 +163,15 @@ def test_se_longer_than_image_costs_the_image_size(rng):
     word = rand_img(rng, 20, 50, 0.7)
     for op in (erode, dilate):
         for d in (0, 45, 90, 135):
-            tracemalloc.start()
-            try:
-                out = op(word, line_se(d, 2_000_001))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2**20, (op.__name__, d, peak)
-            assert np.array_equal(out, op(word, line_se(d, 2 * 50 + 1))), (op.__name__, d)
+            for length in (2_000_001, 2_000_000):
+                tracemalloc.start()
+                try:
+                    out = op(word, StructuringElement(d, length))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 2**20, (op.__name__, d, length, peak)
+                assert np.array_equal(out, op(word, line_se(d, 2 * 50 + 1))), (op.__name__, d, length)
 
 
 # ---------------------------------------------------------------- opening
