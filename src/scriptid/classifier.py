@@ -60,11 +60,16 @@ class ModelFormatError(ValueError):
     """Unreadable, unknown-version or incompatible model file."""
 
 
-def check_k(k: int, n: int) -> int:
-    """``k`` if a model of ``n`` samples may keep it (odd, in 1..n); else ``ValueError``."""
+def _k_in_range(k: int, n: int) -> int:
+    """``k`` if it lies in 1..n; else ``ValueError``."""
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must lie in 1..{n}")
-    if k % 2 == 0:
+    return k
+
+
+def check_k(k: int, n: int) -> int:
+    """``k`` if a model of ``n`` samples may keep it (odd, in 1..n); else ``ValueError``."""
+    if _k_in_range(k, n) % 2 == 0:
         raise ValueError(f"k must be odd, got {k}")
     return k
 
@@ -188,10 +193,7 @@ def classify_nn(model: Model, v) -> tuple[str, float]:
 
 def classify_knn(model: Model, v, k: int | None = None) -> tuple[str, dict[str, int]]:
     """Majority label among the k nearest samples, plus the vote counts."""
-    if k is None:
-        k = model.k
-    if not 1 <= k <= len(model):
-        raise ValueError(f"k={k} must lie in 1..{len(model)}")
+    k = _k_in_range(model.k if k is None else k, len(model))
     dists, order = next(_neighbours(model, _query(v)[None, :], k))
     return _vote(model, dists, order, k)
 
@@ -231,10 +233,7 @@ def evaluate(model: Model, test: list[tuple[np.ndarray, str]], k: int | None = N
     """Classify a labeled test set; report confusion and accuracies."""
     if not test:
         raise ValueError("test set must be nonempty")
-    if k is None:
-        k = model.k
-    if not 1 <= k <= len(model):
-        raise ValueError(f"k={k} must lie in 1..{len(model)}")
+    k = _k_in_range(model.k if k is None else k, len(model))
     queries = np.array([_query(vec) for vec, _ in test])
     preds = [_vote(model, dists, order, k)[0] for dists, order in _neighbours(model, queries, k)]
     truths = [lab for _, lab in test]
@@ -244,11 +243,7 @@ def evaluate(model: Model, test: list[tuple[np.ndarray, str]], k: int | None = N
 
 def leave_one_out(model: Model, k: int | None = None) -> EvalReport:
     """Classify each sample against the model minus itself."""
-    if k is None:
-        k = model.k
-    n = len(model)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k={k} must lie in 1..{n - 1} (leave-one-out over {n} samples)")
+    k = _k_in_range(model.k if k is None else k, len(model) - 1)
     neighbours = _neighbours(model, model.vectors, k, exclude_self=True)
     preds = [_vote(model, dists, order, k)[0] for dists, order in neighbours]
     return _make_report(model.label_set, model.labels, preds)

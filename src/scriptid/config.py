@@ -1,8 +1,9 @@
 """Pipeline configuration: every threshold in one place.
 
 Values can be overridden from a ``key=value`` text file (``#`` starts a
-comment), each key at most once.  Bad entries are rejected up front so
-a bad config fails at startup, not mid-batch.
+comment), each key at most once.  A ``PipelineConfig`` checks its
+fields when it is constructed, so a bad config fails at startup, not
+mid-batch.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class PipelineConfig:
     se_min_len: int = 3
     k: int = 3                  # KNN neighbours
 
-    def validate(self) -> "PipelineConfig":
+    def __post_init__(self):
         if self.min_area < 0:
             raise ValueError(f"min_area must be >= 0, got {self.min_area}")
         if self.tau_line < 0 or self.tau_word < 0:
@@ -48,13 +49,12 @@ class PipelineConfig:
             raise ValueError(f"se_min_len must be odd and >= 1, got {self.se_min_len}")
         if self.k < 1 or self.k % 2 == 0:
             raise ValueError(f"k must be a positive odd integer, got {self.k}")
-        return self
 
 
 def load_config(path: str | None) -> PipelineConfig:
     """Read overrides from a key=value file; None means defaults."""
     if path is None:
-        return PipelineConfig().validate()
+        return PipelineConfig()
     types = {f.name: f.type for f in fields(PipelineConfig)}
     casts = {"int": int, "float": float}
     overrides = {}
@@ -73,4 +73,4 @@ def load_config(path: str | None) -> PipelineConfig:
                 overrides[key] = casts[types[key]](value.strip())
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {value.strip()!r}") from None
-    return PipelineConfig(**overrides).validate()
+    return PipelineConfig(**overrides)

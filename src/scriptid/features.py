@@ -103,7 +103,7 @@ class WordImage:
 
     @functools.cached_property
     def geometry(self) -> Geometry:
-        """Boxes, centroids and axis lengths of the components, one row each."""
+        """Boxes and axis lengths of the components, one row each."""
         return component_geometry(self.labels, self.area)
 
     @functools.cached_property

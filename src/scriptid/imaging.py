@@ -7,17 +7,21 @@ validators below check those invariants and hand back read-only views;
 every operation in the package is a pure function of its inputs, so
 images can be processed in parallel without coordination.
 
+Otsu's threshold compares the between-class variances of the splits as
+exact ``Fraction`` values, so no rounding can move it.
+
 Component labeling is two functions.  ``connected_components``
 returns a read-only ``np.intp`` label map and the area of each label,
 counted over the ink pixels alone (a page's label map is mostly
 background); despeckling and deskew read only those.
-``component_geometry`` makes the one moment pass behind bounding
-boxes, centroids and axis lengths, for the callers that need them (a
-word, once).
+``component_geometry`` reads bounding boxes from ``ndi.find_objects``
+and makes the one moment pass behind the axis lengths, for the callers
+that need them (a word, once).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -80,16 +84,14 @@ def as_binary(img) -> np.ndarray:
 class Geometry(NamedTuple):
     """Geometry of labeled components; row ``i`` describes label ``i + 1``.
 
-    ``bbox`` rows are (row_min, col_min, row_max, col_max), inclusive;
-    ``centroid`` rows are (row, col).  Axis lengths come from each
-    component's equivalent ellipse: the 2x2 covariance of its pixel
-    coordinates gets a +1/12 per-pixel correction (a pixel is a unit
-    square, not a point), and each axis is 4*sqrt(eigenvalue).  A
-    single pixel therefore has equal axes.
+    ``bbox`` rows are (row_min, col_min, row_max, col_max), inclusive.
+    Axis lengths come from each component's equivalent ellipse: the 2x2
+    covariance of its pixel coordinates gets a +1/12 per-pixel
+    correction (a pixel is a unit square, not a point), and each axis
+    is 4*sqrt(eigenvalue).  A single pixel therefore has equal axes.
     """
 
-    bbox: np.ndarray  # (n, 4) int
-    centroid: np.ndarray  # (n, 2) float64
+    bbox: np.ndarray  # (n, 4) np.intp
     major_axis_len: np.ndarray  # (n,) float64
     minor_axis_len: np.ndarray  # (n,) float64
 
@@ -97,39 +99,28 @@ class Geometry(NamedTuple):
 def otsu_threshold(img) -> int:
     """Global threshold maximizing between-class variance of the histogram.
 
-    The criterion is evaluated in exact integer arithmetic, so the
-    argmax (and the smallest-t tie-break) is deterministic and free of
+    Each split's variance is an exact ``Fraction``, so the argmax (and
+    the smallest-t tie-break of ``max``) is deterministic and free of
     floating-point rounding.  A uniform image has zero between-class
     variance everywhere; its unique intensity is returned.
     """
-    g = as_gray(img)
-    hist = np.bincount(g.ravel(), minlength=256)
-    lo = int(g.min())
-    hi = int(g.max())
+    hist = np.bincount(as_gray(img).ravel(), minlength=256)
+    lo, hi = np.flatnonzero(hist)[[0, -1]].tolist()
     if lo == hi:
         return lo
-    w_cum = hist.cumsum()
-    s_cum = (hist * np.arange(256, dtype=np.int64)).cumsum()
-    total_w = int(w_cum[-1])
-    total_s = int(s_cum[-1])
-    best_t = 0
-    best_num = -1
-    best_den = 1
-    for t in range(lo, hi):
-        w0 = int(w_cum[t])
+    # Python ints: the squared difference below overflows int64
+    w_cum = hist.cumsum().tolist()
+    s_cum = (hist * np.arange(256, dtype=np.int64)).cumsum().tolist()
+    total_w, total_s = w_cum[-1], s_cum[-1]
+
+    def between(t: int) -> Fraction:
+        # (s0*w1 - s1*w0)^2 / (w0*w1), the variance times N^2; both
+        # classes are nonempty for lo <= t < hi
+        w0, s0 = w_cum[t], s_cum[t]
         w1 = total_w - w0
-        if w0 == 0 or w1 == 0:
-            continue
-        s0 = int(s_cum[t])
-        # between-class variance = (s0*w1 - s1*w0)^2 / (w0*w1*N^2);
-        # compare the fractions by cross-multiplication in big ints
-        d = s0 * w1 - (total_s - s0) * w0
-        num = d * d
-        if num * best_den > best_num * (w0 * w1):
-            best_num = num
-            best_den = w0 * w1
-            best_t = t
-    return best_t
+        return Fraction((s0 * w1 - (total_s - s0) * w0) ** 2, w0 * w1)
+
+    return max(range(lo, hi), key=between)
 
 
 def binarize(img, t: int) -> np.ndarray:
@@ -156,25 +147,20 @@ def connected_components(img, connectivity: int = 8) -> tuple[np.ndarray, np.nda
 
 
 def component_geometry(labels: np.ndarray, area: np.ndarray) -> Geometry:
-    """Bounding boxes, centroids and axis lengths of every label.
+    """Bounding boxes and axis lengths of every label.
 
     ``labels`` and ``area`` are as ``connected_components`` returns them.
-    One pass over the ink pixels serves every field.
+    Boxes come from ``ndi.find_objects``; one pass over the ink pixels
+    gives the moments behind the axis lengths.
     """
     n = len(area)
-    h, w = labels.shape
+    boxes = [(r.start, c.start, r.stop - 1, c.stop - 1) for r, c in ndi.find_objects(labels, n)]
+    bbox = np.array(boxes, dtype=np.intp).reshape(n, 4)
+
     flat = labels.ravel()
     idx = np.flatnonzero(flat)
     lab = flat[idx]
-    rows, cols = np.divmod(idx, w)
-
-    # rows: row_min, col_min, row_max, col_max; one column per label, 0 = background
-    bounds = np.array([h, w, -1, -1]).repeat(n + 1).reshape(4, n + 1)
-    np.minimum.at(bounds[0], lab, rows)
-    np.minimum.at(bounds[1], lab, cols)
-    np.maximum.at(bounds[2], lab, rows)
-    np.maximum.at(bounds[3], lab, cols)
-
+    rows, cols = np.divmod(idx, labels.shape[1])
     # float once: bincount would convert integer weights on every call
     rows = rows.astype(np.float64)
     cols = cols.astype(np.float64)
@@ -193,8 +179,7 @@ def component_geometry(labels: np.ndarray, area: np.ndarray) -> Geometry:
     lam1 = (mu_rr + mu_cc + common) / 2.0
     lam2 = np.maximum((mu_rr + mu_cc - common) / 2.0, 0.0)
     return Geometry(
-        bbox=bounds[:, 1:].T,
-        centroid=np.column_stack((mean_r, mean_c)),
+        bbox=bbox,
         major_axis_len=4.0 * np.sqrt(lam1),
         minor_axis_len=4.0 * np.sqrt(lam2),
     )

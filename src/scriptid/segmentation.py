@@ -206,8 +206,13 @@ def deskew(
     into the sharpest horizontal bands (maximum variance of the row
     projection).  The search runs coarse-to-fine down to ``step``
     degrees.  Pages with fewer than two blobs are returned unchanged
-    with angle 0.
+    with angle 0.  ``step`` must be finite and positive, ``max_angle``
+    finite and nonnegative.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if not (math.isfinite(max_angle) and max_angle >= 0):
+        raise ValueError(f"max_angle must be finite and >= 0, got {max_angle}")
     if dilate_len < 1:
         raise ValueError(f"dilate_len must be >= 1, got {dilate_len}")
     b = as_binary(page)

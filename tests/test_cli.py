@@ -662,6 +662,23 @@ def test_config_overrides_and_validation(tmp_path, glyph_bank, capsys):
     assert cli.main(["--config", str(bad), "preprocess", str(src), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"k": 2, "deskew_step": 0.0}, "need 0 < deskew_step <= deskew_max_angle <= 45"),
+        ({"deskew_step": -0.5}, "need 0 < deskew_step <= deskew_max_angle <= 45"),
+        ({"deskew_max_angle": float("nan")}, "need 0 < deskew_step <= deskew_max_angle <= 45"),
+        ({"k": 2}, "k must be a positive odd integer, got 2"),
+        ({"min_area": -1}, "min_area must be >= 0, got -1"),
+        ({"gap_frac": 1.0}, "gap_frac must lie in (0, 1), got 1.0"),
+    ],
+    ids=["k=2,deskew_step=0", "deskew_step=-0.5", "deskew_max_angle=nan", "k=2", "min_area=-1", "gap_frac=1"],
+)
+def test_config_is_checked_when_constructed(overrides, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PipelineConfig(**overrides)
+
+
 def test_config_rejects_repeated_key(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.txt"
     cfgfile.write_text("k=3\n# a later override would silently win\nk = 5\n")

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -312,3 +313,28 @@ def test_deskew_rejects_nonpositive_dilate_len():
     page = np.zeros((10, 10), np.uint8)
     with pytest.raises(ValueError, match="dilate_len"):
         deskew(page, dilate_len=0)
+
+
+@pytest.fixture(scope="module")
+def page_skewed_3_degrees(glyph_bank):
+    page, _ = render_page(random.Random(34), glyph_bank, n_lines=4, margin=90)
+    return rotate_binary(page, 3.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"step": 0.0}, "step"),
+        ({"step": -1.0}, "step"),
+        ({"step": math.inf}, "step"),
+        ({"step": math.nan}, "step"),
+        ({"max_angle": -5.0}, "max_angle"),
+        ({"max_angle": math.inf}, "max_angle"),
+        ({"max_angle": math.nan}, "max_angle"),
+    ],
+    ids=["step=0", "step=-1", "step=inf", "step=nan", "max_angle=-5", "max_angle=inf", "max_angle=nan"],
+)
+def test_deskew_rejects_malformed_angles(page_skewed_3_degrees, kwargs, name):
+    # each of these used to return angle 0.0 or fail deep in the search
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        deskew(page_skewed_3_degrees, **kwargs)
