@@ -88,7 +88,7 @@ def scale_to_height(glyph: np.ndarray, height: int) -> np.ndarray:
     out_w = max(1, round_half_up(w * height / h))
     rows = (np.arange(height, dtype=np.int64) * h) // height
     cols = (np.arange(out_w, dtype=np.int64) * w) // out_w
-    return np.ascontiguousarray(glyph[np.ix_(rows, cols)])
+    return glyph[rows[:, None], cols]
 
 
 def compose_word(glyph_imgs: list[np.ndarray], gap: int) -> np.ndarray:

@@ -32,8 +32,11 @@ kept and a dropped component are never 4-adjacent.
 
 The remaining four are plain regional descriptors: average aspect ratio,
 hole-filled pixel ratio, average eccentricity and average extent over
-the word's 8-connected components.  The word is labeled once, and its
-component geometry is computed from that label map once, on first read.
+the word's 8-connected components.  The word is labeled once, in
+``WordImage.from_image``: the four openings keep the labels under
+their eroded markers (``opening_by_reconstruction(..., labels=)``)
+and label nothing again, and the component geometry is computed from
+that label map once, on first read.
 
 Canonical feature order (fixed; stamped into model files):
 ``opd_0, opd_45, opd_90, opd_135, aar, pr, ecc, ext``.
@@ -155,7 +158,7 @@ def opd(word: WordImage, direction: int, ratio: float = 0.7, min_len: int = 3) -
 
 
 def _opd(word: WordImage, se: StructuringElement) -> float:
-    opened = opening_by_reconstruction(word.img, se)
+    opened = opening_by_reconstruction(word.img, se, labels=word.labels)
     # the opening is a union of the word's components: keeping all ink
     # means it is the word, so the word's own fill serves; a partial
     # opening takes one of the module docstring's three cases

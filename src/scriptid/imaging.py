@@ -14,9 +14,19 @@ Component labeling is two functions.  ``connected_components``
 returns a read-only ``np.intp`` label map and the area of each label,
 counted over the ink pixels alone (a page's label map is mostly
 background); despeckling and deskew read only those.
-``component_geometry`` reads bounding boxes from ``ndi.find_objects``
-and makes the one moment pass behind the axis lengths, for the callers
-that need them (a word, once).
+``component_geometry`` gives the bounding boxes and the axis lengths,
+for the callers that need them (a word, once).  It has two exact
+paths, selected by the map's size.  A map under
+``RUN_GEOMETRY_MIN_PX`` pixels is read pixel by pixel: boxes from
+``ndi.find_objects``, means and moments from one pass over the ink.
+A larger map is read as runs (maximal horizontal stretches of one
+label): boxes and means come from the runs, and the second moments
+add each run's row term, repeated, with per-pixel column terms in
+raster order, so the sums are bitwise those of the pixel pass.  The
+run pass takes 1.4-1.9x the pixel pass's time on maps under 2,048
+pixels, about 1.05x at 4-8k, 0.8x at 8-16k and 0.5-0.7x above 32k
+(2 vCPU, CPython 3.11, numpy 2.4, scipy 1.17), so the threshold sits
+at 8,192.
 """
 
 from __future__ import annotations
@@ -39,6 +49,11 @@ __all__ = [
     "otsu_threshold",
     "remove_small_objects",
 ]
+
+# label maps of at least this many pixels get their geometry from runs;
+# below it the per-pixel pass is the faster one (module docstring)
+RUN_GEOMETRY_MIN_PX = 8192
+
 
 def as_gray(img) -> np.ndarray:
     """Validate a grayscale image and return it as a read-only uint8 array."""
@@ -149,10 +164,18 @@ def connected_components(img, connectivity: int = 8) -> tuple[np.ndarray, np.nda
 def component_geometry(labels: np.ndarray, area: np.ndarray) -> Geometry:
     """Bounding boxes and axis lengths of every label.
 
-    ``labels`` and ``area`` are as ``connected_components`` returns them.
-    Boxes come from ``ndi.find_objects``; one pass over the ink pixels
-    gives the moments behind the axis lengths.
+    ``labels`` and ``area`` are as ``connected_components`` returns them
+    (any numbering of 1..n in which every label has a pixel will do).
+    A map of ``RUN_GEOMETRY_MIN_PX`` pixels or more is read as runs,
+    a smaller one pixel by pixel; both give the same bytes.
     """
+    if labels.size >= RUN_GEOMETRY_MIN_PX:
+        return _run_geometry(labels, area)
+    return _pixel_geometry(labels, area)
+
+
+def _pixel_geometry(labels: np.ndarray, area: np.ndarray) -> Geometry:
+    """Boxes from ``ndi.find_objects``, moments from one pass over the ink pixels."""
     n = len(area)
     boxes = [(r.start, c.start, r.stop - 1, c.stop - 1) for r, c in ndi.find_objects(labels, n)]
     bbox = np.array(boxes, dtype=np.intp).reshape(n, 4)
@@ -166,15 +189,62 @@ def component_geometry(labels: np.ndarray, area: np.ndarray) -> Geometry:
     cols = cols.astype(np.float64)
     mean_r = np.bincount(lab, weights=rows, minlength=n + 1)[1:] / area
     mean_c = np.bincount(lab, weights=cols, minlength=n + 1)[1:] / area
-
-    # centered second moments (computed from residuals for accuracy)
     slot = lab - 1
-    dr = rows - mean_r[slot]
-    dc = cols - mean_c[slot]
+    return _ellipse_geometry(bbox, area, lab, rows - mean_r[slot], cols - mean_c[slot])
+
+
+def _run_geometry(labels: np.ndarray, area: np.ndarray) -> Geometry:
+    """Boxes and means from the map's runs, moments from the runs' pixels.
+
+    A run is a maximal horizontal stretch of one label, and runs are
+    taken in raster order.  Each run's row term is repeated over its
+    pixels, so the moment sums add the same values in the same order as
+    ``_pixel_geometry``: the bytes are equal.
+    """
+    n = len(area)
+    h, w = labels.shape
+    flat = labels.ravel()
+    # a stretch starts at every row start and wherever the label changes
+    starts = np.ones((h, w), dtype=bool)
+    np.not_equal(labels[:, 1:], labels[:, :-1], out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    length = np.diff(first, append=flat.size)
+    lab = flat[first]
+    ink = lab != 0
+    first, length, lab = first[ink], length[ink], lab[ink]
+    row, c0 = np.divmod(first, w)
+    c1 = c0 + length - 1
+
+    # a label's runs in raster order: its first run holds its top row,
+    # its last run its bottom row
+    order = np.argsort(lab, kind="stable")
+    count = np.bincount(lab, minlength=n + 1)[1:]
+    end = np.cumsum(count)
+    head = end - count
+    left = np.minimum.reduceat(c0[order], head)
+    right = np.maximum.reduceat(c1[order], head)
+    bbox = np.stack((row[order[head]], left, row[order[end - 1]], right), axis=1)
+
+    # exact integer sums; a run covers columns c0..c1
+    sum_r = np.bincount(lab, weights=row * length, minlength=n + 1)[1:]
+    sum_c = np.bincount(lab, weights=(c0 + c1) * length // 2, minlength=n + 1)[1:]
+    mean_r = sum_r / area
+    mean_c = sum_c / area
+    slot = lab - 1
+    # each pixel's column: its run's first column plus its place in the run
+    cols = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length - c0, length)
+    dr = np.repeat(row - mean_r[slot], length)
+    dc = cols.astype(np.float64) - np.repeat(mean_c[slot], length)
+    return _ellipse_geometry(bbox, area, np.repeat(lab, length), dr, dc)
+
+
+def _ellipse_geometry(bbox, area, lab, dr, dc) -> Geometry:
+    """``Geometry`` from the per-pixel labels and centred coordinates,
+    summed in raster order."""
+    n = len(area)
     mu_rr = np.bincount(lab, weights=dr * dr, minlength=n + 1)[1:] / area + 1.0 / 12.0
     mu_cc = np.bincount(lab, weights=dc * dc, minlength=n + 1)[1:] / area + 1.0 / 12.0
     mu_rc = np.bincount(lab, weights=dr * dc, minlength=n + 1)[1:] / area
-
     common = np.sqrt((mu_rr - mu_cc) ** 2 + 4.0 * mu_rc**2)
     lam1 = (mu_rr + mu_cc + common) / 2.0
     lam2 = np.maximum((mu_rr + mu_cc - common) / 2.0, 0.0)

@@ -21,7 +21,10 @@ Binary reconstruction by dilation is the union of the mask's connected
 components that the marker touches (Vincent, IEEE TIP 1993), so it is
 one ``ndi.label`` plus a lookup table; hole filling labels the
 background once and fills every component that misses the frame.  Both
-give exactly the fixpoint of iterated geodesic dilation.
+give exactly the fixpoint of iterated geodesic dilation.  An opening
+by reconstruction may be handed the image's 8-connected label map;
+it then makes only the lookup, so an image opened in four directions
+is labeled once, by its caller.
 
 Each public function validates its input with ``as_binary``.
 ``opening_by_reconstruction`` does so once: it erodes through ``erode``
@@ -167,21 +170,42 @@ def _reconstruct(marker: np.ndarray, mask: np.ndarray, structure: np.ndarray) ->
     if not marker.any():
         return np.zeros_like(marker)
     labels, n = ndi.label(mask, structure=structure)
+    return _keep_marked(labels, n, marker)
+
+
+def _keep_marked(labels: np.ndarray, n: int, marker: np.ndarray) -> np.ndarray:
+    """1 on every pixel whose label (1..n) has a pixel under ``marker``."""
     keep = np.zeros(n + 1, dtype=np.uint8)
     keep[labels[marker.view(bool)]] = 1
     return keep[labels]
 
 
-def opening_by_reconstruction(img, se: StructuringElement) -> np.ndarray:
+def opening_by_reconstruction(img, se: StructuringElement, labels=None) -> np.ndarray:
     """Restore the full shape of every component that survives erosion.
 
     The eroded image is the marker, the input the mask; components with
     no run of ink >= the SE length in the SE direction disappear, all
     other components come back unchanged.  The input is validated once;
     the eroded marker lies inside it by construction.
+
+    ``labels``, if given, must be the 8-connected labeling of ``img``
+    as ``imaging.connected_components(img)`` returns it (any numbering
+    of the components will do, background 0).  The opening then keeps
+    the labels under the eroded marker and labels nothing; a caller
+    that opens one image in several directions labels it once.  Only
+    the shape is checked (``ValueError`` if it is not ``img``'s): a map
+    of some other image gives a wrong opening, not an error.
     """
     b = as_binary(img)
-    return _reconstruct(erode(b, se), b, label_structure(8))
+    eroded = erode(b, se)
+    if labels is None:
+        return _reconstruct(eroded, b, label_structure(8))
+    labels = np.asarray(labels)
+    if labels.shape != b.shape:
+        raise ValueError(f"labels shape {labels.shape} != image shape {b.shape}")
+    if not eroded.any():
+        return np.zeros_like(eroded)
+    return _keep_marked(labels, int(labels.max()), eroded)
 
 
 def fill_holes(img) -> np.ndarray:

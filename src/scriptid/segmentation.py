@@ -101,8 +101,8 @@ def segment_words(
     words; narrower gaps are treated as inter-character spacing.  Each
     box is trimmed to its ink extent.
     """
-    band = as_binary(page)[line.row_start : line.row_end + 1]
-    proj = vertical_projection(band)
+    # the projection validates the band it reads, not the whole page
+    proj = vertical_projection(np.asarray(page)[line.row_start : line.row_end + 1])
     ink_runs = _runs(proj > tau_word)
     if not ink_runs:
         return []

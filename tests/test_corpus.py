@@ -48,7 +48,7 @@ def test_scale_to_height_dimensions(glyph_bank):
     g = glyph_bank["Kannada"][0]
     for h in (10, 17, 24, 36):
         s = scale_to_height(g, h)
-        assert s.shape[0] == h
+        assert s.shape[0] == h and s.flags.c_contiguous
         assert abs(s.shape[1] - round(g.shape[1] * h / g.shape[0])) <= 1
         assert s.any(axis=1).all() and s.any(axis=0).all()
 

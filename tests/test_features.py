@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import flood_components, moment_axes
 from scriptid import features, imaging, morphology
+from scriptid._util import label_structure
 from scriptid.features import (
     DIRECTIONS,
     FEATURE_NAMES,
@@ -334,6 +335,24 @@ def test_word_geometry_computed_once(geometry_calls):
         reader(word)
     assert word.geometry is word.geometry
     assert geometry_calls == [word.img.shape]
+
+
+def test_extract_features_makes_no_8_connected_labeling(monkeypatch):
+    # the openings keep labels of the word's own map; only the hole fill
+    # labels anything, and it labels the 4-connected background
+    word = word_from(speckled_ring())
+    assert opening_kinds(word) == ["partial", "none", "partial", "none"]
+    structures = []
+    real = morphology.ndi.label
+
+    def recording(img, structure=None, **kwargs):
+        structures.append(structure)
+        return real(img, structure=structure, **kwargs)
+
+    monkeypatch.setattr(morphology.ndi, "label", recording)
+    extract_features(word)
+    assert structures
+    assert not any(np.array_equal(s, label_structure(8)) for s in structures)
 
 
 def test_word_path_validation_count(monkeypatch):

@@ -187,6 +187,63 @@ def test_components_rejects_bad_connectivity():
         connected_components(np.zeros((2, 2), np.uint8), connectivity=6)
 
 
+# map shapes at the run path's size threshold, and the thin extremes
+_T = imaging.RUN_GEOMETRY_MIN_PX
+_NEAR_THRESHOLD = [(1, _T - 1), (1, _T), (_T, 1), (64, _T // 64), (91, 90), (64, 129), (127, 65)]
+
+
+@st.composite
+def label_maps(draw):
+    """Label maps in which each label 1..n has a pixel: 4- or 8-connected
+    labelings of random ink, or arbitrary numberings with runs of
+    different labels side by side."""
+    if draw(st.booleans()):
+        h, w = draw(st.sampled_from(_NEAR_THRESHOLD))
+    else:
+        h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from((4, 8, "arbitrary")))
+    if kind == "arbitrary":
+        run = draw(st.integers(1, 8))
+        raw = rng.integers(0, draw(st.integers(1, 12)), size=(h, -(-w // run)))
+        raw = np.repeat(raw, run, axis=1)[:, :w]
+        # number the values present 1..n, by value; a 0 stays background
+        values, inverse = np.unique(raw.ravel(), return_inverse=True)
+        return inverse.reshape(h, w) + int(values[0] != 0)
+    img = (rng.random((h, w)) < draw(st.floats(0.0, 1.0))).astype(np.uint8)
+    return connected_components(img, connectivity=kind)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=label_maps())
+@example(labels=np.arange(1, 13).reshape(3, 4))
+@example(labels=np.ones((1, 40), np.intp))
+@example(labels=np.ones((40, 1), np.intp))
+@example(labels=np.array([[1, 1, 2, 2, 0, 3]]))
+@example(labels=np.array([[0, 2, 2], [1, 1, 1], [0, 0, 2]]))
+@example(labels=np.zeros((3, 2), np.intp))
+def test_run_geometry_equals_pixel_geometry_byte_for_byte(labels):
+    area = np.bincount(labels.ravel())[1:]
+    runs = imaging._run_geometry(labels, area)
+    pixels = imaging._pixel_geometry(labels, area)
+    for name, a, b in zip(imaging.Geometry._fields, runs, pixels):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_component_geometry_reads_runs_from_the_threshold_on(monkeypatch):
+    seen = []
+    for path in ("_run_geometry", "_pixel_geometry"):
+        def recording(labels, area, path=path, real=getattr(imaging, path)):
+            seen.append(path)
+            return real(labels, area)
+
+        monkeypatch.setattr(imaging, path, recording)
+    for shape in ((1, _T - 1), (1, _T)):
+        component_geometry(*connected_components(np.ones(shape, np.uint8)))
+    assert seen == ["_pixel_geometry", "_run_geometry"]
+
+
 # ---------------------------------------------------------------- geometry
 def _components(img):
     """``(area, geometry)`` of a binary image's 8-components."""

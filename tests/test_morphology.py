@@ -15,6 +15,7 @@ from oracles import (
     naive_dilate,
     naive_erode,
 )
+from scriptid.imaging import connected_components
 from scriptid.morphology import (
     StructuringElement,
     complement,
@@ -342,6 +343,13 @@ def test_obr_anti_extensive_and_idempotent(rng):
         assert np.array_equal(opening_by_reconstruction(out, se), out)
 
 
+def test_obr_rejects_labels_of_another_shape():
+    img = np.ones((4, 5), np.uint8)
+    for shape in ((5, 4), (4, 6), (20,)):
+        with pytest.raises(ValueError, match="labels shape"):
+            opening_by_reconstruction(img, line_se(0, 3), labels=np.ones(shape, np.intp))
+
+
 # ---------------------------------------------------------------- fill holes
 def test_fill_holes_ring():
     img = np.zeros((7, 7), np.uint8)
@@ -504,3 +512,22 @@ def test_fill_holes_property_extensive_and_border_reaching(img):
     bg = (1 - img).astype(np.uint8)
     outside = iterative_reconstruct(bg & frame, bg, 4)
     assert np.array_equal(out, 1 - outside)
+
+
+@props
+@given(img=binary_images(), direction=st.sampled_from((0, 45, 90, 135)), length=se_lengths)
+@example(img=np.ones((1, 1), np.uint8), direction=45, length=3)
+@example(img=np.ones((1, 1), np.uint8), direction=0, length=1)
+@example(img=np.array([[1, 1, 1, 0, 1, 0, 1, 1]], np.uint8), direction=0, length=3)
+@example(img=np.array([[1], [1], [0], [1], [1], [1]], np.uint8), direction=90, length=3)
+@example(img=np.eye(6, dtype=np.uint8)[::-1], direction=45, length=5)
+def test_obr_with_labels_equals_obr_without(img, direction, length):
+    se = line_se(direction, length)
+    want = opening_by_reconstruction(img, se)
+    labels, _ = connected_components(img)
+    # any numbering of the components will do: reverse it too
+    reversed_labels = np.where(labels > 0, labels.max() + 1 - labels, 0)
+    for lab in (labels, reversed_labels):
+        out = opening_by_reconstruction(img, se, labels=lab)
+        assert out.dtype == np.uint8 and out.shape == img.shape
+        assert np.array_equal(out, want)

@@ -107,6 +107,17 @@ def test_segment_words_narrow_gap_does_not_split():
     assert len(segment_words(page, band)) == 1
 
 
+def test_segment_words_validates_the_band_it_reads():
+    page = np.zeros((20, 40), np.uint8)
+    page[5:15, 7:31] = 1
+    band = segment_lines(page)[0]
+    for r, c in ((band.row_start, 35), (band.row_end, 0), (10, 20)):
+        bad = page.copy()
+        bad[r, c] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            segment_words(bad, band)
+
+
 def test_segment_words_on_generated_pages(glyph_bank):
     rng = random.Random(11)
     for _ in range(3):
