@@ -28,9 +28,9 @@ is labeled once, by its caller.
 
 Each public function validates its input with ``as_binary``.
 ``opening_by_reconstruction`` does so once: it erodes through ``erode``
-and hands marker and mask to the private reconstruction step, since an
+and looks the eroded marker up in the label map directly, since an
 eroded image always lies inside its input.  ``reconstruct_by_dilation``
-checks shapes and containment and then runs that same step.
+checks shapes and containment and then makes that same lookup.
 """
 
 from __future__ import annotations
@@ -162,15 +162,11 @@ def reconstruct_by_dilation(marker, mask, connectivity: int = 8) -> np.ndarray:
         raise ValueError(f"marker shape {m.shape} != mask shape {i.shape}")
     if (m > i).any():
         raise ValueError("marker must be contained in mask")
-    return _reconstruct(m, i, label_structure(connectivity))
-
-
-def _reconstruct(marker: np.ndarray, mask: np.ndarray, structure: np.ndarray) -> np.ndarray:
-    """Reconstruction of a validated {0,1} uint8 ``marker`` <= ``mask``."""
-    if not marker.any():
-        return np.zeros_like(marker)
-    labels, n = ndi.label(mask, structure=structure)
-    return _keep_marked(labels, n, marker)
+    structure = label_structure(connectivity)  # raises for a bad connectivity
+    if not m.any():
+        return np.zeros_like(m)
+    labels, n = ndi.label(i, structure=structure)
+    return _keep_marked(labels, n, m)
 
 
 def _keep_marked(labels: np.ndarray, n: int, marker: np.ndarray) -> np.ndarray:
@@ -197,15 +193,17 @@ def opening_by_reconstruction(img, se: StructuringElement, labels=None) -> np.nd
     of some other image gives a wrong opening, not an error.
     """
     b = as_binary(img)
-    eroded = erode(b, se)
     if labels is None:
-        return _reconstruct(eroded, b, label_structure(8))
-    labels = np.asarray(labels)
-    if labels.shape != b.shape:
-        raise ValueError(f"labels shape {labels.shape} != image shape {b.shape}")
+        labels, n = ndi.label(b, structure=label_structure(8))
+    else:
+        labels = np.asarray(labels)
+        if labels.shape != b.shape:
+            raise ValueError(f"labels shape {labels.shape} != image shape {b.shape}")
+        n = int(labels.max())
+    eroded = erode(b, se)
     if not eroded.any():
         return np.zeros_like(eroded)
-    return _keep_marked(labels, int(labels.max()), eroded)
+    return _keep_marked(labels, n, eroded)
 
 
 def fill_holes(img) -> np.ndarray:
