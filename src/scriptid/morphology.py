@@ -22,9 +22,16 @@ components that the marker touches (Vincent, IEEE TIP 1993), so it is
 one ``ndi.label`` plus a lookup table; hole filling labels the
 background once and fills every component that misses the frame.  Both
 give exactly the fixpoint of iterated geodesic dilation.  An opening
-by reconstruction may be handed the image's 8-connected label map;
-it then makes only the lookup, so an image opened in four directions
-is labeled once, by its caller.
+by reconstruction may be handed the image's 8-connected label map and
+its label count; it then makes only the lookup, so an image opened in
+four directions is labeled and counted once, by its caller.
+
+Every label map here is ``np.intp``, as ``imaging.connected_components``
+makes it: ``ndi.label`` writes that dtype directly, and a lookup
+``table[labels]`` then gathers without first converting the whole map
+(an ``int32`` map costs one more full-map pass per lookup).  A marker
+that touches every component keeps the whole mask, so the lookup is
+skipped and the result is a copy of the mask.
 
 Each public function validates its input with ``as_binary``.
 ``opening_by_reconstruction`` does so once: it erodes through ``erode``
@@ -165,45 +172,62 @@ def reconstruct_by_dilation(marker, mask, connectivity: int = 8) -> np.ndarray:
     structure = label_structure(connectivity)  # raises for a bad connectivity
     if not m.any():
         return np.zeros_like(m)
-    labels, n = ndi.label(i, structure=structure)
-    return _keep_marked(labels, n, m)
+    labels, n = ndi.label(i, structure=structure, output=np.intp)
+    return _keep_marked(labels, n, m, i)
 
 
-def _keep_marked(labels: np.ndarray, n: int, marker: np.ndarray) -> np.ndarray:
-    """1 on every pixel whose label (1..n) has a pixel under ``marker``."""
+def _keep_marked(labels: np.ndarray, n: int, marker: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """1 on every pixel of ``mask`` whose label (1..n) has a pixel under
+    ``marker``; a copy of ``mask`` when every label has one."""
     keep = np.zeros(n + 1, dtype=np.uint8)
     keep[labels[marker.view(bool)]] = 1
+    if keep[1:].all():
+        return mask.copy()
     return keep[labels]
 
 
-def opening_by_reconstruction(img, se: StructuringElement, labels=None) -> np.ndarray:
+def opening_by_reconstruction(img, se: StructuringElement, labels=None, n=None) -> np.ndarray:
     """Restore the full shape of every component that survives erosion.
 
     The eroded image is the marker, the input the mask; components with
     no run of ink >= the SE length in the SE direction disappear, all
     other components come back unchanged.  The input is validated once;
-    the eroded marker lies inside it by construction.
+    the eroded marker lies inside it by construction.  The result is a
+    fresh, writable uint8 array.
 
     ``labels``, if given, must be the 8-connected labeling of ``img``
     as ``imaging.connected_components(img)`` returns it (any numbering
-    of the components will do, background 0).  The opening then keeps
-    the labels under the eroded marker and labels nothing; a caller
-    that opens one image in several directions labels it once.  Only
-    the shape is checked (``ValueError`` if it is not ``img``'s): a map
-    of some other image gives a wrong opening, not an error.
+    of the components will do, background 0), and ``n``, if given, its
+    label count (``len(area)``); without ``n`` the count is
+    ``labels.max()``.  The opening then keeps the labels under the
+    eroded marker and labels nothing; a caller that opens one image in
+    several directions labels and counts it once.  Both are trusted,
+    not checked against ``img`` or each other: a map of some other
+    image gives a wrong opening, and a count below the map's largest
+    label an ``IndexError``.  Only their form is checked:
+    ``ValueError`` for a map that is not an integer array of ``img``'s
+    shape, for an ``n`` that is not a nonnegative integer, and for an
+    ``n`` without a map.
     """
     b = as_binary(img)
     if labels is None:
-        labels, n = ndi.label(b, structure=label_structure(8))
+        if n is not None:
+            raise ValueError("n is the label count of labels; pass it with labels")
+        labels, n = ndi.label(b, structure=label_structure(8), output=np.intp)
     else:
         labels = np.asarray(labels)
         if labels.shape != b.shape:
             raise ValueError(f"labels shape {labels.shape} != image shape {b.shape}")
-        n = int(labels.max())
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be an integer array, got {labels.dtype}")
+        if n is None:
+            n = int(labels.max())
+        elif isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     eroded = erode(b, se)
     if not eroded.any():
         return np.zeros_like(eroded)
-    return _keep_marked(labels, n, eroded)
+    return _keep_marked(labels, n, eroded, b)
 
 
 def fill_holes(img) -> np.ndarray:
@@ -216,7 +240,7 @@ def fill_holes(img) -> np.ndarray:
     hole-tight.
     """
     b = as_binary(img)
-    labels, n = ndi.label(b == 0, structure=label_structure(4))
+    labels, n = ndi.label(b == 0, structure=label_structure(4), output=np.intp)
     filled = np.ones(n + 1, dtype=np.uint8)
     filled[labels[0]] = 0
     filled[labels[-1]] = 0

@@ -355,6 +355,27 @@ def test_extract_features_makes_no_8_connected_labeling(monkeypatch):
     assert not any(np.array_equal(s, label_structure(8)) for s in structures)
 
 
+@pytest.mark.parametrize(
+    "img",
+    [speckled_ring(), ring_with_inner_speck(), ring_over_bar(), np.ones((1, 1), np.uint8)],
+    ids=["speckled-ring", "ring-with-inner-speck", "ring-over-bar", "1x1"],
+)
+def test_word_path_labels_into_intp_maps(monkeypatch, img):
+    # an int32 map makes every table[labels] lookup convert the whole map
+    outputs = []
+    real = morphology.ndi.label
+
+    def recording(img, structure=None, output=None, **kwargs):
+        outputs.append(output)
+        return real(img, structure=structure, output=output, **kwargs)
+
+    # imaging and morphology both call scipy.ndimage.label
+    monkeypatch.setattr(morphology.ndi, "label", recording)
+    extract_features(word_from(img))
+    assert len(outputs) >= 2  # the word's ink and its background
+    assert all(out is np.intp for out in outputs), outputs
+
+
 def test_word_path_validation_count(monkeypatch):
     calls = []
     real = imaging.as_binary

@@ -15,6 +15,7 @@ from oracles import (
     naive_dilate,
     naive_erode,
 )
+from scriptid._util import label_structure
 from scriptid.imaging import connected_components
 from scriptid.morphology import (
     StructuringElement,
@@ -402,6 +403,22 @@ def test_complement_basics(rng):
     assert complement(img).dtype == np.uint8
 
 
+def test_obr_rejects_a_non_integer_map_or_a_bad_count():
+    img = np.ones((4, 5), np.uint8)
+    se = line_se(0, 3)
+    labels, area = connected_components(img)
+    for bad in (labels.astype(np.float64), labels.astype(bool)):
+        with pytest.raises(ValueError, match="integer array"):
+            opening_by_reconstruction(img, se, labels=bad)
+    for n in (-1, 1.0, 1.5, True, "1", np.float64(1)):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            opening_by_reconstruction(img, se, labels=labels, n=n)
+    with pytest.raises(ValueError, match="pass it with labels"):
+        opening_by_reconstruction(img, se, n=len(area))
+    for n in (len(area), np.intp(len(area))):
+        assert np.array_equal(opening_by_reconstruction(img, se, labels=labels, n=n), img)
+
+
 # ---------------------------------------------------------------- properties
 @st.composite
 def binary_images(draw, max_side=24):
@@ -415,6 +432,25 @@ def marker_mask_pairs(draw):
     mask = draw(binary_images())
     seeds = draw(hnp.arrays(np.uint8, mask.shape, elements=st.integers(0, 1)))
     return seeds & mask, mask
+
+
+def nested_rings(k):
+    """``k`` nested square rings of ink around a dot, one pixel apart."""
+    side = 4 * k + 1
+    img = np.zeros((side, side), np.uint8)
+    for i in range(2 * k + 1):
+        img[i : side - i, i : side - i] = 1 - i % 2
+    return img
+
+
+def assert_fresh(out, img):
+    """``out`` is a writable uint8 array that writes leave ``img`` alone."""
+    assert out.dtype == np.uint8 and out.shape == img.shape and out.flags.writeable
+    assert not np.shares_memory(out, img)
+    before = img.copy()
+    out ^= 1
+    assert np.array_equal(img, before)
+    out ^= 1
 
 
 # SE lengths up to 61 outrun both sides of any drawn image
@@ -521,13 +557,45 @@ def test_fill_holes_property_extensive_and_border_reaching(img):
 @example(img=np.array([[1, 1, 1, 0, 1, 0, 1, 1]], np.uint8), direction=0, length=3)
 @example(img=np.array([[1], [1], [0], [1], [1], [1]], np.uint8), direction=90, length=3)
 @example(img=np.eye(6, dtype=np.uint8)[::-1], direction=45, length=5)
+# length 1 keeps every component, a line longer than the image none
+@example(img=np.ones((1, 9), np.uint8), direction=90, length=1)
+@example(img=np.ones((9, 1), np.uint8), direction=135, length=11)
+@example(img=np.indices((9, 11)).sum(axis=0).astype(np.uint8) % 2, direction=0, length=1)
+@example(img=np.indices((9, 11)).sum(axis=0).astype(np.uint8) % 2, direction=45, length=5)
+@example(img=nested_rings(3), direction=45, length=1)
+@example(img=nested_rings(3), direction=0, length=3)
+@example(img=nested_rings(3), direction=90, length=13)
+@example(img=nested_rings(3), direction=135, length=3)
 def test_obr_with_labels_equals_obr_without(img, direction, length):
     se = line_se(direction, length)
     want = opening_by_reconstruction(img, se)
-    labels, _ = connected_components(img)
+    assert np.array_equal(want, reconstruct_by_dilation(erode(img, se), img))
+    assert_fresh(want, img)
+    labels, area = connected_components(img)
     # any numbering of the components will do: reverse it too
     reversed_labels = np.where(labels > 0, labels.max() + 1 - labels, 0)
     for lab in (labels, reversed_labels):
-        out = opening_by_reconstruction(img, se, labels=lab)
-        assert out.dtype == np.uint8 and out.shape == img.shape
-        assert np.array_equal(out, want)
+        for n in (None, len(area)):
+            out = opening_by_reconstruction(img, se, labels=lab, n=n)
+            assert np.array_equal(out, want)
+            assert_fresh(out, img)
+
+
+@props
+@given(img=binary_images(), connectivity=st.sampled_from((4, 8)))
+@example(img=np.ones((1, 1), np.uint8), connectivity=8)
+@example(img=np.ones((1, 9), np.uint8), connectivity=4)
+@example(img=np.ones((9, 1), np.uint8), connectivity=8)
+@example(img=np.indices((9, 11)).sum(axis=0).astype(np.uint8) % 2, connectivity=4)
+@example(img=np.indices((9, 11)).sum(axis=0).astype(np.uint8) % 2, connectivity=8)
+@example(img=nested_rings(3), connectivity=4)
+def test_reconstruct_from_a_pixel_of_every_component_is_a_copy_of_the_mask(img, connectivity):
+    labels, n = ndi.label(img, structure=label_structure(connectivity))
+    marker = np.zeros_like(img)
+    # the first pixel of every component, in raster order
+    ids, first = np.unique(labels.ravel(), return_index=True)
+    marker.flat[first[ids > 0]] = 1
+    assert np.count_nonzero(marker) == n
+    out = reconstruct_by_dilation(marker, img, connectivity=connectivity)
+    assert np.array_equal(out, img)
+    assert_fresh(out, img)
