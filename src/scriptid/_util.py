@@ -23,6 +23,11 @@ def label_structure(connectivity: int) -> np.ndarray:
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}") from None
 
 
+def is_int(x) -> bool:
+    """True for a Python or numpy integer; False for a bool or anything else."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def crop_to_ink(img: np.ndarray) -> np.ndarray | None:
     """View of ``img`` cut to its ink bounding box; None if it has no ink."""
     rows = np.flatnonzero(img.any(axis=1))

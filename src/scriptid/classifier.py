@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from scriptid._util import write_text_atomic
+from scriptid._util import is_int, write_text_atomic
 from scriptid.features import FEATURE_NAMES
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "check_k",
     "classify_knn",
     "classify_nn",
-    "distance",
     "evaluate",
     "leave_one_out",
     "load_model",
@@ -61,7 +60,9 @@ class ModelFormatError(ValueError):
 
 
 def _k_in_range(k: int, n: int) -> int:
-    """``k`` if it lies in 1..n; else ``ValueError``."""
+    """``k`` if it is an integer (not a bool) in 1..n; else ``ValueError``."""
+    if not is_int(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must lie in 1..{n}")
     return k
@@ -110,13 +111,6 @@ class Model:
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between two feature vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
 def _query(v) -> np.ndarray:

@@ -207,9 +207,6 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         nn_report = classifier.leave_one_out(model, k=1)
         knn_report = classifier.leave_one_out(model, k=k)
     else:
-        if not args.model:
-            print("scriptid: error: --model is required without --loo", file=sys.stderr)
-            return 2
         model = classifier.load_model(args.model)
         k = classifier.check_k(args.k if args.k is not None else model.k, len(model))
         test = list(zip(vectors, labels))
@@ -321,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.command == "classify" and bool(args.page) == bool(args.words):
         print("scriptid: error: classify needs word images or --page, not both", file=sys.stderr)
+        return 2
+    if args.command == "evaluate" and args.loo == bool(args.model):
+        print("scriptid: error: evaluate needs --model or --loo, not both", file=sys.stderr)
         return 2
     try:
         return args.func(args, cfg)

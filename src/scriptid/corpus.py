@@ -40,7 +40,6 @@ __all__ = [
     "PageTruth",
     "WordTruth",
     "compose_word",
-    "default_glyph_root",
     "generate_corpus",
     "load_glyphs",
     "render_page",
@@ -52,17 +51,13 @@ __all__ = [
 HEADLINE_CLASS = "Devnagari"  # glyphs compose flush (continuous headline)
 
 
-def default_glyph_root() -> Path:
-    return Path(str(resources.files("scriptid") / "glyphs"))
-
-
 def load_glyphs(root: str | Path | None = None) -> dict[str, list[np.ndarray]]:
     """Load glyph sets: one subdirectory per class, one PBM per glyph.
 
     Glyphs are trimmed to their ink bounding box on load.  Raises if the
     directory is missing or any class is empty.
     """
-    root = Path(root) if root is not None else default_glyph_root()
+    root = Path(root) if root is not None else Path(str(resources.files("scriptid") / "glyphs"))
     if not root.is_dir():
         raise FileNotFoundError(f"glyph directory not found: {root}")
     bank: dict[str, list[np.ndarray]] = {}

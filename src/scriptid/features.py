@@ -72,7 +72,6 @@ __all__ = [
     "avg_extent",
     "extract_features",
     "format_feature_line",
-    "opd",
     "parse_feature_line",
     "pixel_ratio",
     "se_length_for",
@@ -154,12 +153,8 @@ def se_length_for(word: WordImage, ratio: float = 0.7, min_len: int = 3) -> int:
     return length
 
 
-def opd(word: WordImage, direction: int, ratio: float = 0.7, min_len: int = 3) -> float:
-    """Directional on-pixel density after reconstruction and hole fill."""
-    return _opd(word, line_se(direction, se_length_for(word, ratio=ratio, min_len=min_len)))
-
-
 def _opd(word: WordImage, se: StructuringElement) -> float:
+    """Directional on-pixel density after reconstruction and hole fill."""
     opened = opening_by_reconstruction(word.img, se, labels=word.labels, n=len(word.area))
     # the opening is a union of the word's components: keeping all ink
     # means it is the word, so the word's own fill serves; a partial

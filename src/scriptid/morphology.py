@@ -22,9 +22,11 @@ components that the marker touches (Vincent, IEEE TIP 1993), so it is
 one ``ndi.label`` plus a lookup table; hole filling labels the
 background once and fills every component that misses the frame.  Both
 give exactly the fixpoint of iterated geodesic dilation.  An opening
-by reconstruction may be handed the image's 8-connected label map and
-its label count; it then makes only the lookup, so an image opened in
-four directions is labeled and counted once, by its caller.
+by reconstruction is the reconstruction of the eroded image under the
+image.  It may instead be handed the image's 8-connected label map
+together with its label count (the two go together or not at all); it
+then makes only the lookup, so an image opened in four directions is
+labeled and counted once, by its caller.
 
 Every label map here is ``np.intp``, as ``imaging.connected_components``
 makes it: ``ndi.label`` writes that dtype directly, and a lookup
@@ -34,10 +36,11 @@ that touches every component keeps the whole mask, so the lookup is
 skipped and the result is a copy of the mask.
 
 Each public function validates its input with ``as_binary``.
-``opening_by_reconstruction`` does so once: it erodes through ``erode``
-and looks the eroded marker up in the label map directly, since an
-eroded image always lies inside its input.  ``reconstruct_by_dilation``
-checks shapes and containment and then makes that same lookup.
+``reconstruct_by_dilation`` checks shapes and containment and then
+makes the lookup.  ``opening_by_reconstruction`` erodes through
+``erode``; handed a label map, it validates its input once and looks
+the eroded marker up in the map directly, since an eroded image always
+lies inside its input.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage as ndi
 
-from scriptid._util import label_structure
+from scriptid._util import is_int, label_structure
 from scriptid.imaging import as_binary
 
 __all__ = [
@@ -77,8 +80,8 @@ class StructuringElement:
     def __post_init__(self):
         if self.direction not in _LINE_STEPS:
             raise ValueError(f"direction must be one of 0, 45, 90, 135; got {self.direction}")
-        if self.length < 1:
-            raise ValueError(f"length must be a positive integer, got {self.length}")
+        if not is_int(self.length) or self.length < 1:
+            raise ValueError(f"length must be a positive integer, got {self.length!r}")
 
     @property
     def offsets(self) -> tuple[tuple[int, int], ...]:
@@ -94,9 +97,10 @@ def line_se(direction: int, length: int) -> StructuringElement:
     0 degrees is horizontal, 90 vertical; 45 and 135 are the pure
     diagonals (one pixel per row), up-right and up-left respectively.
     """
+    se = StructuringElement(direction, length)
     if length % 2 == 0:
         raise ValueError(f"length must be a positive odd integer, got {length}")
-    return StructuringElement(direction, length)
+    return se
 
 
 def _line_filter(b: np.ndarray, se: StructuringElement, op) -> np.ndarray:
@@ -191,39 +195,36 @@ def opening_by_reconstruction(img, se: StructuringElement, labels=None, n=None) 
 
     The eroded image is the marker, the input the mask; components with
     no run of ink >= the SE length in the SE direction disappear, all
-    other components come back unchanged.  The input is validated once;
-    the eroded marker lies inside it by construction.  The result is a
-    fresh, writable uint8 array.
+    other components come back unchanged.  The result is a fresh,
+    writable uint8 array.  Without a map this is
+    ``reconstruct_by_dilation(erode(img, se), img)``.
 
-    ``labels``, if given, must be the 8-connected labeling of ``img``
-    as ``imaging.connected_components(img)`` returns it (any numbering
-    of the components will do, background 0), and ``n``, if given, its
-    label count (``len(area)``); without ``n`` the count is
-    ``labels.max()``.  The opening then keeps the labels under the
+    ``labels`` and ``n`` go together or not at all.  ``labels`` must be
+    the 8-connected labeling of ``img`` as
+    ``imaging.connected_components(img)`` returns it (any numbering of
+    the components will do, background 0), and ``n`` its label count
+    (``len(area)``).  The opening then keeps the labels under the
     eroded marker and labels nothing; a caller that opens one image in
     several directions labels and counts it once.  Both are trusted,
     not checked against ``img`` or each other: a map of some other
     image gives a wrong opening, and a count below the map's largest
     label an ``IndexError``.  Only their form is checked:
-    ``ValueError`` for a map that is not an integer array of ``img``'s
-    shape, for an ``n`` that is not a nonnegative integer, and for an
-    ``n`` without a map.
+    ``ValueError`` for one without the other, for a map that is not an
+    integer array of ``img``'s shape, and for an ``n`` that is not a
+    nonnegative integer.
     """
+    if (labels is None) != (n is None):
+        raise ValueError("labels and n go together: pass both or neither")
     b = as_binary(img)
     if labels is None:
-        if n is not None:
-            raise ValueError("n is the label count of labels; pass it with labels")
-        labels, n = ndi.label(b, structure=label_structure(8), output=np.intp)
-    else:
-        labels = np.asarray(labels)
-        if labels.shape != b.shape:
-            raise ValueError(f"labels shape {labels.shape} != image shape {b.shape}")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError(f"labels must be an integer array, got {labels.dtype}")
-        if n is None:
-            n = int(labels.max())
-        elif isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        return reconstruct_by_dilation(erode(b, se), b)
+    labels = np.asarray(labels)
+    if labels.shape != b.shape:
+        raise ValueError(f"labels shape {labels.shape} != image shape {b.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be an integer array, got {labels.dtype}")
+    if not is_int(n) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     eroded = erode(b, se)
     if not eroded.any():
         return np.zeros_like(eroded)

@@ -179,15 +179,6 @@ def _alignment_score(drow: np.ndarray, dcol: np.ndarray, degrees: float) -> floa
     return float(np.var(hist))
 
 
-def _best_angle(drow, dcol, angles) -> tuple[float, float]:
-    best_angle, best_score = 0.0, -1.0
-    for angle in angles:
-        score = _alignment_score(drow, dcol, angle)
-        if score > best_score:
-            best_score, best_angle = score, angle
-    return best_angle, best_score
-
-
 def deskew(
     page,
     max_angle: float = 15.0,
@@ -229,15 +220,19 @@ def deskew(
     drow = rr.astype(np.float64) - (h - 1) / 2.0
     dcol = cc.astype(np.float64) - (w - 1) / 2.0
 
+    def score(angle):
+        return _alignment_score(drow, dcol, angle)
+
+    # each grid holds the multiples of its step within +-max_angle (the
+    # round guards against float error); max keeps the first best angle
     coarse_step = max(step, 1.0)
-    n = int(round(max_angle / coarse_step))
+    n = math.floor(round(max_angle / coarse_step, 9))
     coarse = [round(k * coarse_step, 6) for k in range(-n, n + 1)]
-    angle, _ = _best_angle(drow, dcol, coarse)
+    angle = max(coarse, key=score)
     if step < coarse_step:
         lo = max(-max_angle, angle - coarse_step)
         hi = min(max_angle, angle + coarse_step)
         k0 = math.ceil(round(lo / step, 9))
         k1 = math.floor(round(hi / step, 9))
-        fine = [round(k * step, 6) for k in range(int(k0), int(k1) + 1)]
-        angle, _ = _best_angle(drow, dcol, fine)
+        angle = max((round(k * step, 6) for k in range(k0, k1 + 1)), key=score)
     return rotate_binary(b, -angle), angle

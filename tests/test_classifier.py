@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -17,7 +16,6 @@ from scriptid.classifier import (
     ModelFormatError,
     classify_knn,
     classify_nn,
-    distance,
     evaluate,
     leave_one_out,
     load_model,
@@ -34,32 +32,6 @@ def make_model(rng, n_per_class=10, classes=("A", "B", "C"), spread=0.05, k=3):
         vectors.append(centers[i] + rng.normal(0, spread, (n_per_class, 8)))
         labels.extend([cls] * n_per_class)
     return Model(vectors=np.vstack(vectors), labels=tuple(labels), k=k)
-
-
-# ---------------------------------------------------------------- distance
-def test_distance_identity_and_unit():
-    v = np.arange(8, dtype=float)
-    assert distance(v, v) == 0.0
-    w = v.copy()
-    w[3] += 1.0
-    assert distance(v, w) == pytest.approx(1.0)
-
-
-def test_distance_matches_direct_summation(rng):
-    for _ in range(100):
-        a = rng.random(8) * 10
-        b = rng.random(8) * 10
-        ref = math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(a, b)))
-        assert distance(a, b) == pytest.approx(ref, rel=1e-12)
-
-
-def test_distance_metric_axioms(rng):
-    for _ in range(200):
-        a, b, c = rng.random((3, 8))
-        assert distance(a, b) >= 0
-        assert distance(a, b) == pytest.approx(distance(b, a), rel=1e-12)
-        assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
-    assert distance(a, a) == 0.0
 
 
 # ---------------------------------------------------------------- NN
@@ -287,6 +259,34 @@ def test_loo_rejects_k_outside_one_to_n_minus_one(rng, k):
     with pytest.raises(ValueError, match=rf"k={k} must lie in 1\.\.9"):
         leave_one_out(m, k=k)
     assert leave_one_out(m, k=9).total == 10
+
+
+@pytest.mark.parametrize("k", [True, False, 3.0, np.float64(3), "3", None])
+def test_k_must_be_an_integer(rng, k):
+    # save_model would write k=True as "k=True", which load_model rejects,
+    # and np.partition raises TypeError for a float k
+    m = make_model(rng, n_per_class=5, classes=("A", "B"), k=1)
+    q = m.vectors[0]
+    with pytest.raises(ValueError, match="k must be an integer"):
+        Model(vectors=m.vectors, labels=m.labels, k=k)
+    if k is not None:  # None means the model's k
+        for call in (
+            lambda: classify_knn(m, q, k),
+            lambda: evaluate(m, [(q, m.labels[0])], k=k),
+            lambda: leave_one_out(m, k=k),
+            lambda: classifier.check_k(k, len(m)),
+        ):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                call()
+
+
+def test_numpy_integer_k_round_trips(tmp_path, rng):
+    m = make_model(rng, n_per_class=5, classes=("A", "B"), k=np.int64(3))
+    path = tmp_path / "m.txt"
+    save_model(str(path), m)
+    assert "k=3\n" in path.read_text()
+    assert load_model(str(path)).k == 3
+    assert classify_knn(m, m.vectors[0], np.intp(5))[0] == m.labels[0]
 
 
 def test_library_accepts_even_k_per_query(rng):

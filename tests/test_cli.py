@@ -576,6 +576,15 @@ def test_evaluate_without_model_or_loo_is_usage_error(small_corpus, capsys):
     assert cli.main(["evaluate", str(small_corpus["dump"])]) == 2
 
 
+def test_evaluate_rejects_model_with_loo(small_corpus, capsys):
+    # leave-one-out would ignore the model
+    args = ["evaluate", str(small_corpus["dump"]), "--loo", "--model", str(small_corpus["model"])]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "not both" in err
+
+
 # ---------------------------------------------------------------- gen-corpus + config
 def test_classify_accepts_pgm_words(tmp_path, glyph_bank, small_corpus, capsys):
     rng = random.Random(40)

@@ -18,7 +18,6 @@ from scriptid.features import (
     avg_extent,
     extract_features,
     format_feature_line,
-    opd,
     parse_feature_line,
     pixel_ratio,
     se_length_for,
@@ -129,13 +128,13 @@ def test_opd_zero_when_no_long_run():
     img = np.zeros((10, 10), np.uint8)
     img[1:9, 1:3] = 1  # vertical bar: no horizontal run >= 3
     w = word_from(img)
-    assert opd(w, 0) == 0.0
+    assert extract_features(w)[0] == 0.0
 
 
 def test_opd_solid_rectangle_vertical_is_one():
     img = np.ones((12, 7), np.uint8)
     w = word_from(img)
-    assert opd(w, 90) == pytest.approx(1.0)
+    assert extract_features(w)[2] == pytest.approx(1.0)
 
 
 def test_opd_bar_and_dot_hand_traced():
@@ -147,17 +146,11 @@ def test_opd_bar_and_dot_hand_traced():
     assert w.img.shape == (16, 16)
     # computed SE length: mean height (12+1)/2 -> 0.7*6.5 = 4.55 -> 5
     assert se_length_for(w) == 5
-    assert opd(w, 90) == pytest.approx(12 / 256)
+    assert extract_features(w)[2] == pytest.approx(12 / 256)
     # the stated length-9 probe gives the same surviving ink
     g = fill_holes(opening_by_reconstruction(w.img, line_se(90, 9)))
     assert int(g.sum()) == 12
     assert g.sum() / g.size == pytest.approx(12 / 256)
-
-
-def test_opd_rejects_bad_direction():
-    img = np.ones((4, 4), np.uint8)
-    with pytest.raises(ValueError):
-        opd(word_from(img), 30)
 
 
 # ---------------------------------------------------------------- one hole fill per word
@@ -223,7 +216,7 @@ def test_opd_and_pixel_ratio_match_refill_oracle(img, params):
     ratio, min_len = params
     word = word_from(img)
     length = se_length_for(word, ratio=ratio, min_len=min_len)
-    opds = [opd(word, d, ratio=ratio, min_len=min_len) for d in DIRECTIONS]
+    opds = extract_features(word, ratio=ratio, min_len=min_len)[:4].tolist()
     assert opds == [refilled_density(word, d, length) for d in DIRECTIONS]
     filled = fill_holes(word.img)
     pr = pixel_ratio(word)
@@ -480,7 +473,7 @@ def test_extract_features_order_and_composition():
     w = word_from(img)
     vec = extract_features(w)
     assert vec.shape == (8,)
-    expected = [opd(w, d) for d in DIRECTIONS] + [
+    expected = [refilled_density(w, d, se_length_for(w)) for d in DIRECTIONS] + [
         aar(w), pixel_ratio(w), avg_eccentricity(w), avg_extent(w),
     ]
     assert np.array_equal(vec, np.array(expected))

@@ -78,6 +78,21 @@ def test_structuring_element_rejects_bad_arguments(direction, length, match):
         StructuringElement(direction, length)
 
 
+@pytest.mark.parametrize("length", [True, 3.0, np.float64(3), "3", None])
+def test_se_length_must_be_an_integer(length):
+    # erode raises TypeError for a float length and reads True as 1
+    with pytest.raises(ValueError, match="length must be a positive integer"):
+        StructuringElement(0, length)
+    with pytest.raises(ValueError, match="length must be a positive integer"):
+        line_se(0, length)
+
+
+def test_se_length_may_be_a_numpy_integer():
+    img = np.ones((3, 7), np.uint8)
+    for length in (np.int64(3), np.intp(5), np.uint8(3)):
+        assert np.array_equal(erode(img, line_se(0, length)), erode(img, line_se(0, int(length))))
+
+
 # ---------------------------------------------------------------- erode/dilate
 def test_erode_background_padding_on_full_image():
     img = np.ones((5, 5), np.uint8)
@@ -348,7 +363,7 @@ def test_obr_rejects_labels_of_another_shape():
     img = np.ones((4, 5), np.uint8)
     for shape in ((5, 4), (4, 6), (20,)):
         with pytest.raises(ValueError, match="labels shape"):
-            opening_by_reconstruction(img, line_se(0, 3), labels=np.ones(shape, np.intp))
+            opening_by_reconstruction(img, line_se(0, 3), labels=np.ones(shape, np.intp), n=1)
 
 
 # ---------------------------------------------------------------- fill holes
@@ -409,12 +424,14 @@ def test_obr_rejects_a_non_integer_map_or_a_bad_count():
     labels, area = connected_components(img)
     for bad in (labels.astype(np.float64), labels.astype(bool)):
         with pytest.raises(ValueError, match="integer array"):
-            opening_by_reconstruction(img, se, labels=bad)
+            opening_by_reconstruction(img, se, labels=bad, n=len(area))
     for n in (-1, 1.0, 1.5, True, "1", np.float64(1)):
         with pytest.raises(ValueError, match="nonnegative integer"):
             opening_by_reconstruction(img, se, labels=labels, n=n)
-    with pytest.raises(ValueError, match="pass it with labels"):
+    with pytest.raises(ValueError, match="labels and n go together"):
         opening_by_reconstruction(img, se, n=len(area))
+    with pytest.raises(ValueError, match="labels and n go together"):
+        opening_by_reconstruction(img, se, labels=labels)
     for n in (len(area), np.intp(len(area))):
         assert np.array_equal(opening_by_reconstruction(img, se, labels=labels, n=n), img)
 
@@ -575,10 +592,9 @@ def test_obr_with_labels_equals_obr_without(img, direction, length):
     # any numbering of the components will do: reverse it too
     reversed_labels = np.where(labels > 0, labels.max() + 1 - labels, 0)
     for lab in (labels, reversed_labels):
-        for n in (None, len(area)):
-            out = opening_by_reconstruction(img, se, labels=lab, n=n)
-            assert np.array_equal(out, want)
-            assert_fresh(out, img)
+        out = opening_by_reconstruction(img, se, labels=lab, n=len(area))
+        assert np.array_equal(out, want)
+        assert_fresh(out, img)
 
 
 @props

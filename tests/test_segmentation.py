@@ -326,6 +326,15 @@ def test_deskew_rejects_nonpositive_dilate_len():
         deskew(page, dilate_len=0)
 
 
+@pytest.mark.parametrize("true_angle", [5.8, -5.9])
+@pytest.mark.parametrize("max_angle, step", [(5.0, 3.0), (5.5, 1.0)])
+def test_deskew_stays_within_max_angle(glyph_bank, true_angle, max_angle, step):
+    # rounding max_angle / step to the nearest integer would try +-6.0 here
+    page, _ = render_page(random.Random(35), glyph_bank, n_lines=4, margin=90)
+    _, angle = deskew(rotate_binary(page, true_angle), max_angle=max_angle, step=step)
+    assert abs(angle) <= max_angle
+
+
 @pytest.fixture(scope="module")
 def page_skewed_3_degrees(glyph_bank):
     page, _ = render_page(random.Random(34), glyph_bank, n_lines=4, margin=90)
