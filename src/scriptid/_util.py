@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -26,6 +27,27 @@ def label_structure(connectivity: int) -> np.ndarray:
 def is_int(x) -> bool:
     """True for a Python or numpy integer; False for a bool or anything else."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+# plain ASCII decimals: int() and float() also take "1_5", " 3", "+3"
+# and non-ASCII digits, none of which the package writes
+_INT = re.compile(r"-?[0-9]+")
+_FLOAT = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|-?inf|nan")
+
+
+def parse_int(text: str) -> int:
+    """``int(text)`` for an optional minus sign and ASCII digits only."""
+    if not _INT.fullmatch(text):
+        raise ValueError(f"not a plain decimal integer: {text!r}")
+    return int(text)
+
+
+def parse_float(text: str) -> float:
+    """``float(text)`` for an ASCII decimal (``repr``'s forms, ``inf`` and
+    ``nan`` included) only."""
+    if not _FLOAT.fullmatch(text):
+        raise ValueError(f"not a plain decimal number: {text!r}")
+    return float(text)
 
 
 def crop_to_ink(img: np.ndarray) -> np.ndarray | None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from scriptid._util import is_int, write_text_atomic
+from scriptid._util import is_int, parse_float, parse_int, write_text_atomic
 from scriptid.features import FEATURE_NAMES
 
 __all__ = [
@@ -290,7 +290,7 @@ def load_model(path: str) -> Model:
             f"{path}: feature order mismatch: {feature_order} != {FEATURE_NAMES}"
         )
     try:
-        k = int(headers["k"])
+        k = parse_int(headers["k"])
     except ValueError:
         raise ModelFormatError(f"{path}: bad k {headers['k']!r}") from None
 
@@ -302,7 +302,7 @@ def load_model(path: str) -> Model:
             raise ModelFormatError(f"{path}: malformed sample line {line!r}")
         labels.append(parts[0])
         try:
-            vectors.append([float(x) for x in parts[1:]])
+            vectors.append([parse_float(x) for x in parts[1:]])
         except ValueError:
             raise ModelFormatError(f"{path}: non-numeric feature in {line!r}") from None
     if not vectors:

@@ -1,14 +1,16 @@
 """Pipeline configuration: every threshold in one place.
 
 Values can be overridden from a ``key=value`` text file (``#`` starts a
-comment), each key at most once.  A ``PipelineConfig`` checks its
-fields when it is constructed, so a bad config fails at startup, not
-mid-batch.
+comment), each key at most once and each value a plain ASCII decimal.
+A ``PipelineConfig`` checks its fields when it is constructed, so a bad
+config fails at startup, not mid-batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+
+from scriptid._util import parse_float, parse_int
 
 __all__ = ["PipelineConfig", "load_config"]
 
@@ -56,7 +58,7 @@ def load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     types = {f.name: f.type for f in fields(PipelineConfig)}
-    casts = {"int": int, "float": float}
+    casts = {"int": parse_int, "float": parse_float}
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

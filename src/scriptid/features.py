@@ -38,7 +38,8 @@ keep the labels under their eroded markers, taking the label count
 from the word's areas (``opening_by_reconstruction(..., labels=,
 n=)``), and label and count nothing again; an opening that keeps every
 component is a copy of the word.  The component geometry is computed
-from that label map once, on first read.
+once, on first read, from that label map, and for a large word from
+the crop's ink runs, reading the map once per run.
 
 Canonical feature order (fixed; stamped into model files):
 ``opd_0, opd_45, opd_90, opd_135, aar, pr, ecc, ext``.
@@ -87,9 +88,9 @@ class WordImage:
 
     ``img`` is the tight ink crop (first/last rows and columns contain
     ink); ``labels`` and ``area`` are its label map and label areas, and
-    ``geometry`` is computed from them on first read.  Construct via
-    :meth:`from_image`, which rejects empty images.  Words compare by
-    identity.
+    ``geometry`` is computed from them and the crop on first read.
+    Construct via :meth:`from_image`, which rejects empty images.  Words
+    compare by identity.
     """
 
     img: np.ndarray
@@ -108,7 +109,7 @@ class WordImage:
     @functools.cached_property
     def geometry(self) -> Geometry:
         """Boxes and axis lengths of the components, one row each."""
-        return component_geometry(self.labels, self.area)
+        return component_geometry(self.img, self.labels, self.area)
 
     @functools.cached_property
     def ink(self) -> int:

@@ -15,26 +15,40 @@ returns a read-only ``np.intp`` label map and the area of each label,
 counted over the ink pixels alone (a page's label map is mostly
 background); despeckling and deskew read only those.
 ``component_geometry`` gives the bounding boxes and the axis lengths,
-for the callers that need them (a word, once).  It has two exact
-paths, selected by the map's size.  A map under
-``RUN_GEOMETRY_MIN_PX`` pixels is read pixel by pixel: boxes from
-``ndi.find_objects``, means and moments from one pass over the ink.
-A larger map is read as runs (maximal horizontal stretches of one
-label): boxes and means come from the runs, and the second moments
-add each run's row term, repeated, with per-pixel column terms in
-raster order, so the sums are bitwise those of the pixel pass.  The
-run pass takes 1.4-1.9x the pixel pass's time on maps under 2,048
-pixels, about 1.05x at 4-8k, 0.8x at 8-16k and 0.5-0.7x above 32k
-(2 vCPU, CPython 3.11, numpy 2.4, scipy 1.17), so the threshold sits
-at 8,192.  Neither path alone does as well end to end on the same
-host: with every map read as runs, the median word of the ``page``
-and ``train`` benchmarks (maps under 8,192 pixels) takes 16-22% longer,
-and with every map read pixel by pixel the 90th percentile word of
-``big_words`` (256 px crops, 8,192 pixels and more) takes 30% longer.
+for the callers that need them (a word, once).  Both have two exact
+paths, selected by the map's size.  A map under ``RUN_GEOMETRY_MIN_PX``
+pixels is read pixel by pixel: areas from the labels under the ink,
+boxes from ``ndi.find_objects``, means and moments from one pass over
+the ink.  A larger one is read as the image's ink runs (maximal
+horizontal stretches of ink, found by two byte comparisons on the
+uint8 image).  Every horizontal neighbour in ink shares a component
+under 4- and 8-connectivity alike, so each run lies inside one
+component and the map is read once per run, at its first pixel.
+Areas add up run lengths; boxes and means come from the runs, and the
+second moments add each run's row term, repeated, with per-pixel
+column terms in raster order, so the sums are bitwise those of the
+pixel pass.  The per-component tail of the ellipse runs in Python
+floats, one correctly rounded operation per step, as the same steps
+over float64 arrays would.
+
+Against the pixel pass, on word crops (2 vCPU, CPython 3.11, numpy
+2.4, scipy 1.17), the run geometry takes 1.6x the time under 2,048
+pixels, 1.15x at 2-4k, 0.87x at 4-8k, 0.69x at 8-16k and 0.5x above
+16k; the run areas take 3.2x, 1.9x, 1.3x, 0.84x and 0.4-0.6x.  The two
+cross on either side of 8,192 pixels, and an end-to-end threshold of
+4,096 left the median and 90th-percentile ``big_words`` word
+unchanged within noise, so the threshold stays at 8,192.  Neither
+path alone does as well end to end (measured with the geometry alone
+on runs): with every map read as runs, the median word of the
+``page`` and ``train`` benchmarks (maps under 8,192 pixels) took
+16-22% longer, and with every map read pixel by pixel the 90th
+percentile word of ``big_words`` (256 px crops, 8,192 pixels and
+more) took 30% longer.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -54,8 +68,9 @@ __all__ = [
     "remove_small_objects",
 ]
 
-# label maps of at least this many pixels get their geometry from runs;
-# below it the per-pixel pass is the faster one (module docstring)
+# label maps of at least this many pixels get their areas and geometry
+# from ink runs; below it the per-pixel pass is the faster one (module
+# docstring)
 RUN_GEOMETRY_MIN_PX = 8192
 
 
@@ -156,25 +171,54 @@ def connected_components(img, connectivity: int = 8) -> tuple[np.ndarray, np.nda
     That order is ``ndi.label``'s own (its union-find keeps the smallest
     label as root and numbers roots in increasing order), and the tests
     pin it against a flood-fill oracle.  ``area[i]`` is the pixel count
-    of label ``i + 1``, counted over the ink pixels only.
+    of label ``i + 1`` (``np.intp``), counted over the ink pixels only:
+    a map of ``RUN_GEOMETRY_MIN_PX`` pixels or more adds up the lengths
+    of its ink runs, reading the map once per run.
     """
     b = as_binary(img)
     labels, n = ndi.label(b, structure=label_structure(connectivity), output=np.intp)
     labels.flags.writeable = False
+    if b.size >= RUN_GEOMETRY_MIN_PX:
+        first, length = _ink_runs(b)
+        # float sums of integer lengths: exact below 2**53
+        area = np.bincount(labels.ravel()[first], weights=length, minlength=n + 1)[1:]
+        return labels, area.astype(np.intp)
     area = np.bincount(labels.ravel().compress(b.ravel().view(bool)), minlength=n + 1)[1:]
     return labels, area
 
 
-def component_geometry(labels: np.ndarray, area: np.ndarray) -> Geometry:
-    """Bounding boxes and axis lengths of every label.
+def _ink_runs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, length)`` of every maximal horizontal run of ink in
+    ``b``, in raster order: the flat index of its first pixel and its
+    pixel count.  A run starts where a pixel exceeds its left
+    neighbour and ends where it exceeds its right one, the frame read
+    as background."""
+    starts = np.empty(b.shape, dtype=bool)
+    ends = np.empty(b.shape, dtype=bool)
+    starts[:, 0] = b[:, 0]
+    ends[:, -1] = b[:, -1]
+    np.greater(b[:, 1:], b[:, :-1], out=starts[:, 1:])
+    np.greater(b[:, :-1], b[:, 1:], out=ends[:, :-1])
+    first = np.flatnonzero(starts)
+    return first, np.flatnonzero(ends) - first + 1
 
-    ``labels`` and ``area`` are as ``connected_components`` returns them
-    (any numbering of 1..n in which every label has a pixel will do).
-    A map of ``RUN_GEOMETRY_MIN_PX`` pixels or more is read as runs,
-    a smaller one pixel by pixel; both give the same bytes.
+
+def component_geometry(img, labels: np.ndarray, area: np.ndarray) -> Geometry:
+    """Bounding boxes and axis lengths of every component of ``img``.
+
+    ``labels`` must label the components of the binary image ``img``
+    (4- or 8-connected, any numbering of 1..n, background 0), and
+    ``area`` give their pixel counts, as ``connected_components(img)``
+    returns them.  Like the opening's label map, both are trusted, not
+    checked against ``img``: a map of some other image gives wrong
+    geometry.  A map of ``RUN_GEOMETRY_MIN_PX`` pixels or more is read
+    from ``img``'s ink runs, one map read per run, a smaller one pixel
+    by pixel; both give the same bytes.  Every horizontal neighbour in
+    ink shares a component under either connectivity, so each run lies
+    inside one component.
     """
     if labels.size >= RUN_GEOMETRY_MIN_PX:
-        return _run_geometry(labels, area)
+        return _run_geometry(as_binary(img), labels, area)
     return _pixel_geometry(labels, area)
 
 
@@ -197,28 +241,19 @@ def _pixel_geometry(labels: np.ndarray, area: np.ndarray) -> Geometry:
     return _ellipse_geometry(bbox, area, lab, rows - mean_r[slot], cols - mean_c[slot])
 
 
-def _run_geometry(labels: np.ndarray, area: np.ndarray) -> Geometry:
-    """Boxes and means from the map's runs, moments from the runs' pixels.
+def _run_geometry(b: np.ndarray, labels: np.ndarray, area: np.ndarray) -> Geometry:
+    """Boxes and means from the ink runs of ``b``, moments from the runs' pixels.
 
-    A run is a maximal horizontal stretch of one label, and runs are
-    taken in raster order.  Each run's row term is repeated over its
-    pixels, so the moment sums add the same values in the same order as
+    Runs are taken in raster order, and each run's label is read at its
+    first pixel.  Each run's row term is repeated over its pixels, so
+    the moment sums add the same values in the same order as
     ``_pixel_geometry``: the bytes are equal.
     """
     n = len(area)
-    h, w = labels.shape
-    flat = labels.ravel()
-    # a stretch starts at every row start and wherever the label changes
-    starts = np.ones((h, w), dtype=bool)
-    np.not_equal(labels[:, 1:], labels[:, :-1], out=starts[:, 1:])
-    first = np.flatnonzero(starts)
-    length = np.diff(first, append=flat.size)
-    lab = flat[first]
-    ink = lab != 0
-    first, length, lab = first[ink], length[ink], lab[ink]
-    row, c0 = np.divmod(first, w)
+    first, length = _ink_runs(b)
+    lab = labels.ravel()[first]
+    row, c0 = np.divmod(first, b.shape[1])
     c1 = c0 + length - 1
-
     # a label's runs in raster order: its first run holds its top row,
     # its last run its bottom row
     order = np.argsort(lab, kind="stable")
@@ -246,17 +281,38 @@ def _ellipse_geometry(bbox, area, lab, dr, dc) -> Geometry:
     """``Geometry`` from the per-pixel labels and centred coordinates,
     summed in raster order."""
     n = len(area)
-    mu_rr = np.bincount(lab, weights=dr * dr, minlength=n + 1)[1:] / area + 1.0 / 12.0
-    mu_cc = np.bincount(lab, weights=dc * dc, minlength=n + 1)[1:] / area + 1.0 / 12.0
-    mu_rc = np.bincount(lab, weights=dr * dc, minlength=n + 1)[1:] / area
-    common = np.sqrt((mu_rr - mu_cc) ** 2 + 4.0 * mu_rc**2)
-    lam1 = (mu_rr + mu_cc + common) / 2.0
-    lam2 = np.maximum((mu_rr + mu_cc - common) / 2.0, 0.0)
+    s_rr, s_cc, s_rc = (
+        np.bincount(lab, weights=w, minlength=n + 1)[1:].tolist() for w in (dr * dr, dc * dc, dr * dc)
+    )
+    major, minor = _ellipse_axes(s_rr, s_cc, s_rc, area.tolist())
     return Geometry(
         bbox=bbox,
-        major_axis_len=4.0 * np.sqrt(lam1),
-        minor_axis_len=4.0 * np.sqrt(lam2),
+        major_axis_len=np.array(major, dtype=np.float64),
+        minor_axis_len=np.array(minor, dtype=np.float64),
     )
+
+
+def _ellipse_axes(s_rr, s_cc, s_rc, area) -> tuple[list[float], list[float]]:
+    """Axis lengths from each component's centred second-moment sums and area.
+
+    Python floats, one component at a time: every step is one correctly
+    rounded IEEE operation (``x * x`` for a square, ``math.sqrt``), so
+    the bytes are those of the same steps over float64 arrays.  The
+    smaller eigenvalue is clamped at 0; it is never -0.0 or NaN, since
+    the two variances add up to at least 1/6.
+    """
+    major, minor = [], []
+    for rr, cc, rc, a in zip(s_rr, s_cc, s_rc, area):
+        mu_rr = rr / a + 1.0 / 12.0
+        mu_cc = cc / a + 1.0 / 12.0
+        mu_rc = rc / a
+        d = mu_rr - mu_cc
+        common = math.sqrt(d * d + 4.0 * (mu_rc * mu_rc))
+        lam1 = (mu_rr + mu_cc + common) / 2.0
+        lam2 = (mu_rr + mu_cc - common) / 2.0
+        major.append(4.0 * math.sqrt(lam1))
+        minor.append(4.0 * math.sqrt(lam2 if lam2 > 0.0 else 0.0))
+    return major, minor
 
 
 def remove_small_objects(img, min_area: int = 15) -> np.ndarray:

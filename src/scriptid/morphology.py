@@ -38,7 +38,8 @@ skipped and the result is a copy of the mask.
 Each public function validates its input with ``as_binary``.
 ``reconstruct_by_dilation`` checks shapes and containment and then
 makes the lookup.  ``opening_by_reconstruction`` erodes through
-``erode``; handed a label map, it validates its input once and looks
+``erode``; handed a label map, it leaves the input's validation to
+``erode``, checks the map against the eroded image's shape, and looks
 the eroded marker up in the map directly, since an eroded image always
 lies inside its input.
 """
@@ -215,20 +216,20 @@ def opening_by_reconstruction(img, se: StructuringElement, labels=None, n=None) 
     """
     if (labels is None) != (n is None):
         raise ValueError("labels and n go together: pass both or neither")
-    b = as_binary(img)
     if labels is None:
+        b = as_binary(img)
         return reconstruct_by_dilation(erode(b, se), b)
+    eroded = erode(img, se)  # validates img
     labels = np.asarray(labels)
-    if labels.shape != b.shape:
-        raise ValueError(f"labels shape {labels.shape} != image shape {b.shape}")
+    if labels.shape != eroded.shape:
+        raise ValueError(f"labels shape {labels.shape} != image shape {eroded.shape}")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValueError(f"labels must be an integer array, got {labels.dtype}")
     if not is_int(n) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    eroded = erode(b, se)
     if not eroded.any():
         return np.zeros_like(eroded)
-    return _keep_marked(labels, n, eroded, b)
+    return _keep_marked(labels, n, eroded, np.asarray(img, dtype=np.uint8))
 
 
 def fill_holes(img) -> np.ndarray:

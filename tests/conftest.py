@@ -29,9 +29,9 @@ def geometry_calls(monkeypatch):
     calls = []
     real = imaging.component_geometry
 
-    def counting(labels, area):
+    def counting(img, labels, area):
         calls.append(labels.shape)
-        return real(labels, area)
+        return real(img, labels, area)
 
     for module in (imaging, features):
         monkeypatch.setattr(module, "component_geometry", counting)

@@ -206,6 +206,19 @@ def moment_axes(pixels) -> tuple[float, float]:
     return 4.0 * math.sqrt(lam1), 4.0 * math.sqrt(lam2)
 
 
+def array_ellipse_axes(s_rr, s_cc, s_rc, area) -> tuple[np.ndarray, np.ndarray]:
+    """(major, minor) axis lengths from centred second-moment sums, one
+    float64 array operation per step over all components at once."""
+    area = np.asarray(area)
+    mu_rr = np.asarray(s_rr, dtype=np.float64) / area + 1.0 / 12.0
+    mu_cc = np.asarray(s_cc, dtype=np.float64) / area + 1.0 / 12.0
+    mu_rc = np.asarray(s_rc, dtype=np.float64) / area
+    common = np.sqrt((mu_rr - mu_cc) ** 2 + 4.0 * mu_rc**2)
+    lam1 = (mu_rr + mu_cc + common) / 2.0
+    lam2 = np.maximum((mu_rr + mu_cc - common) / 2.0, 0.0)
+    return 4.0 * np.sqrt(lam1), 4.0 * np.sqrt(lam2)
+
+
 def knn_oracle(train: np.ndarray, labels, q: np.ndarray, k: int) -> str:
     """Full sort by (distance, index); majority with the documented ties."""
     dists = [

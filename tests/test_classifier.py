@@ -452,6 +452,37 @@ def test_model_rejects_non_finite_vectors(tmp_path, rng):
         load_model(str(p))
 
 
+@pytest.mark.parametrize("k", ["1_1", "\u0663", " 3", "+3", "3 ", "3.0"],
+                         ids=["separator", "arabic-indic", "space", "plus", "trailing", "float"])
+def test_model_k_is_a_plain_ascii_decimal(tmp_path, rng, k):
+    p = tmp_path / "m.txt"
+    save_model(str(p), make_model(rng))
+    p.write_text(p.read_text(encoding="utf-8").replace("k=3", f"k={k}"), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="bad k"):
+        load_model(str(p))
+
+
+@pytest.mark.parametrize("value", ["0_5", "\u0660.5", " 0.5", "+0.5", "Infinity", "0x1p-1"],
+                         ids=["separator", "arabic-indic", "space", "plus", "word", "hex"])
+def test_model_features_are_plain_ascii_decimals(tmp_path, rng, value):
+    p = tmp_path / "m.txt"
+    save_model(str(p), make_model(rng))
+    lines = p.read_text().splitlines()
+    label, _, rest = lines[4].split(",", 2)
+    lines[4] = ",".join([label, value, rest])
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="non-numeric feature"):
+        load_model(str(p))
+
+
+def test_saved_models_use_only_the_plain_forms(tmp_path):
+    vectors = np.array([[0.5, 1e-05, 2.5e16, -0.0, 0.0, 1.0, 3.0, 1 / 3]] * 3)
+    p = tmp_path / "m.txt"
+    save_model(str(p), Model(vectors=vectors, labels=("A", "B", "A"), k=1))
+    back = load_model(str(p))
+    assert back.vectors.tobytes() == vectors.tobytes() and back.k == 1
+
+
 def test_model_keeps_a_private_read_only_copy(rng):
     vectors = rng.random((30, 8))
     m = Model(vectors=vectors, labels=tuple("AB"[i % 2] for i in range(30)), k=3)

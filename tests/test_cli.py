@@ -688,6 +688,27 @@ def test_config_is_checked_when_constructed(overrides, message):
         PipelineConfig(**overrides)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["min_area=1_5", "se_ratio=0_7", "min_area=\u0661\u0665", "se_ratio=\u0660.7", "k=+3", "gap_frac=+0.2"],
+    ids=["int-separator", "float-separator", "int-arabic-indic", "float-arabic-indic", "int-plus", "float-plus"],
+)
+def test_config_values_are_plain_ascii_decimals(tmp_path, entry):
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text(entry + "\n", encoding="utf-8")
+    key, _, value = entry.partition("=")
+    message = f"{cfgfile}:1: bad value for {key}: {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_config(str(cfgfile))
+
+
+def test_config_reads_plain_decimals_and_spaces_around_them(tmp_path):
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text("min_area = 7\nse_ratio=.5\ndeskew_step=1e-1\n")
+    cfg = load_config(str(cfgfile))
+    assert (cfg.min_area, cfg.se_ratio, cfg.deskew_step) == (7, 0.5, 0.1)
+
+
 def test_config_rejects_repeated_key(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.txt"
     cfgfile.write_text("k=3\n# a later override would silently win\nk = 5\n")

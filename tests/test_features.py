@@ -384,10 +384,10 @@ def test_word_path_validation_count(monkeypatch):
     assert opening_kinds(word) == ["partial", "none", "partial", "none"]
     calls.clear()
     extract_features(word)
-    # per direction the opening and its erosion, then the word's fill;
-    # the partial openings drop only a speck outside the ring, so
-    # nothing is refilled
-    assert len(calls) == 4 * 2 + 1
+    # per direction the opening's erosion, then the word's fill; the
+    # partial openings drop only a speck outside the ring, so nothing is
+    # refilled, and a map this small takes no run geometry
+    assert len(calls) == 4 + 1
 
 
 # ---------------------------------------------------------------- regional features

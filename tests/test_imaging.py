@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import brute_otsu, flood_components, moment_axes
+from oracles import array_ellipse_axes, brute_otsu, flood_components, moment_axes
 from scriptid import imaging
 from scriptid.imaging import (
     as_binary,
@@ -103,9 +103,10 @@ def test_binarize_monotone_in_threshold(rng):
 
 # ---------------------------------------------------------------- components
 def test_components_empty_image():
-    labels, area = connected_components(np.zeros((5, 5), np.uint8))
+    img = np.zeros((5, 5), np.uint8)
+    labels, area = connected_components(img)
     assert len(area) == 0
-    geom = component_geometry(labels, area)
+    geom = component_geometry(img, labels, area)
     assert geom.bbox.shape == (0, 4)
     assert not labels.any()
 
@@ -136,7 +137,7 @@ def ink_images(draw, max_side=40):
 @example(img=np.zeros((3, 2), np.uint8), conn=8)
 def test_components_match_flood_fill_oracle(img, conn):
     labels, area = connected_components(img, connectivity=conn)
-    geom = component_geometry(labels, area)
+    geom = component_geometry(img, labels, area)
     oracle = flood_components(img, connectivity=conn)
     assert labels.dtype == np.intp
     assert np.array_equal(labels > 0, img == 1)
@@ -176,7 +177,7 @@ def test_components_label_map_is_read_only(rng, geometry_calls):
     with pytest.raises(ValueError):
         labels[0, 0] = 7
     assert geometry_calls == []  # labeling alone makes no moment pass
-    geom = imaging.component_geometry(labels, area)
+    geom = imaging.component_geometry(img, labels, area)
     assert geom.bbox.shape == (len(area), 4)
     assert len(geom.major_axis_len) == len(geom.minor_axis_len) == len(area)
     assert geometry_calls == [(20, 20)]  # one pass serves every field
@@ -192,39 +193,43 @@ _T = imaging.RUN_GEOMETRY_MIN_PX
 _NEAR_THRESHOLD = [(1, _T - 1), (1, _T), (_T, 1), (64, _T // 64), (91, 90), (64, 129), (127, 65)]
 
 
-@st.composite
-def label_maps(draw):
-    """Label maps in which each label 1..n has a pixel: 4- or 8-connected
-    labelings of random ink, or arbitrary numberings with runs of
-    different labels side by side."""
+def _near_threshold_or_small(draw):
     if draw(st.booleans()):
-        h, w = draw(st.sampled_from(_NEAR_THRESHOLD))
-    else:
-        h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        return draw(st.sampled_from(_NEAR_THRESHOLD))
+    return draw(st.integers(1, 40)), draw(st.integers(1, 40))
+
+
+@st.composite
+def labelings(draw):
+    """``(img, labels)``: random ink and its 4- or 8-connected labeling,
+    renumbered by a random permutation of 1..n."""
+    h, w = _near_threshold_or_small(draw)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from((4, 8, "arbitrary")))
-    if kind == "arbitrary":
-        run = draw(st.integers(1, 8))
-        raw = rng.integers(0, draw(st.integers(1, 12)), size=(h, -(-w // run)))
-        raw = np.repeat(raw, run, axis=1)[:, :w]
-        # number the values present 1..n, by value; a 0 stays background
-        values, inverse = np.unique(raw.ravel(), return_inverse=True)
-        return inverse.reshape(h, w) + int(values[0] != 0)
     img = (rng.random((h, w)) < draw(st.floats(0.0, 1.0))).astype(np.uint8)
-    return connected_components(img, connectivity=kind)[0]
+    labels, area = connected_components(img, connectivity=draw(st.sampled_from((4, 8))))
+    if draw(st.booleans()):
+        # any numbering of the components will do
+        labels = np.concatenate(([0], rng.permutation(len(area)) + 1))[labels]
+    return img, labels
+
+
+# a 4-connected labeling, renumbered 3, 1, 2
+_PERMUTED_IMG = np.array([[1, 1, 0, 1], [0, 0, 0, 1], [1, 0, 1, 1]], np.uint8)
+_PERMUTED_LABELS = np.array([[3, 3, 0, 1], [0, 0, 0, 1], [2, 0, 1, 1]])
 
 
 @settings(max_examples=300, deadline=None)
-@given(labels=label_maps())
-@example(labels=np.arange(1, 13).reshape(3, 4))
-@example(labels=np.ones((1, 40), np.intp))
-@example(labels=np.ones((40, 1), np.intp))
-@example(labels=np.array([[1, 1, 2, 2, 0, 3]]))
-@example(labels=np.array([[0, 2, 2], [1, 1, 1], [0, 0, 2]]))
-@example(labels=np.zeros((3, 2), np.intp))
-def test_run_geometry_equals_pixel_geometry_byte_for_byte(labels):
+@given(case=labelings())
+@example(case=(np.ones((3, 4), np.uint8), np.ones((3, 4), np.intp)))
+@example(case=(np.ones((1, 40), np.uint8), np.ones((1, 40), np.intp)))
+@example(case=(np.ones((40, 1), np.uint8), np.ones((40, 1), np.intp)))
+@example(case=(np.array([[1, 1, 0, 1]], np.uint8), np.array([[2, 2, 0, 1]])))
+@example(case=(_PERMUTED_IMG, _PERMUTED_LABELS))
+@example(case=(np.zeros((3, 2), np.uint8), np.zeros((3, 2), np.intp)))
+def test_run_geometry_equals_pixel_geometry_byte_for_byte(case):
+    img, labels = case
     area = np.bincount(labels.ravel())[1:]
-    runs = imaging._run_geometry(labels, area)
+    runs = imaging._run_geometry(img, labels, area)
     pixels = imaging._pixel_geometry(labels, area)
     for name, a, b in zip(imaging.Geometry._fields, runs, pixels):
         assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -234,21 +239,84 @@ def test_run_geometry_equals_pixel_geometry_byte_for_byte(labels):
 def test_component_geometry_reads_runs_from_the_threshold_on(monkeypatch):
     seen = []
     for path in ("_run_geometry", "_pixel_geometry"):
-        def recording(labels, area, path=path, real=getattr(imaging, path)):
+        def recording(*args, path=path, real=getattr(imaging, path)):
             seen.append(path)
-            return real(labels, area)
+            return real(*args)
 
         monkeypatch.setattr(imaging, path, recording)
     for shape in ((1, _T - 1), (1, _T)):
-        component_geometry(*connected_components(np.ones(shape, np.uint8)))
+        img = np.ones(shape, np.uint8)
+        component_geometry(img, *connected_components(img))
     assert seen == ["_pixel_geometry", "_run_geometry"]
+
+
+@st.composite
+def ink_at_the_threshold(draw):
+    """Ink images at and around the run area's size threshold, the thin
+    extremes, small ones, and empty and full ones of any of those shapes."""
+    h, w = _near_threshold_or_small(draw)
+    fill = draw(st.sampled_from(("random", "empty", "full")))
+    if fill == "empty":
+        return np.zeros((h, w), np.uint8)
+    if fill == "full":
+        return np.ones((h, w), np.uint8)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random((h, w)) < draw(st.floats(0.0, 1.0))).astype(np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(img=ink_at_the_threshold(), conn=st.sampled_from((4, 8)))
+@example(img=np.ones((1, _T), np.uint8), conn=4)
+@example(img=np.ones((_T, 1), np.uint8), conn=8)
+@example(img=np.zeros((64, _T // 64), np.uint8), conn=8)
+@example(img=np.eye(91, dtype=np.uint8)[:, ::-1], conn=4)
+def test_component_areas_equal_label_counts(img, conn):
+    labels, area = connected_components(img, connectivity=conn)
+    assert area.dtype == np.intp
+    assert np.array_equal(area, np.bincount(labels.ravel())[1:])
+
+
+def test_component_areas_read_runs_from_the_threshold_on(monkeypatch):
+    seen = []
+    real = imaging._ink_runs
+
+    def recording(b):
+        seen.append(b.shape)
+        return real(b)
+
+    monkeypatch.setattr(imaging, "_ink_runs", recording)
+    for shape in ((1, _T - 1), (1, _T)):
+        connected_components(np.ones(shape, np.uint8))
+    assert seen == [(1, _T)]
+
+
+_SUMS = st.floats(0.0, 1e12, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sums=st.lists(
+        st.tuples(_SUMS, _SUMS, st.floats(-1e12, 1e12, allow_subnormal=False), st.integers(1, 2**20)),
+        max_size=40,
+    )
+)
+@example(sums=[(0.0, 0.0, 0.0, 1)])  # a single pixel
+@example(sums=[(2.0, 0.0, 0.0, 4), (0.0, 8.25, -0.0, 10)])  # bars
+@example(sums=[(9.0, 9.0, 9.0, 9), (9.0, 9.0, -9.0, 9)])  # diagonals: lam2 rounds to about 0
+def test_scalar_ellipse_axes_equal_array_axes_byte_for_byte(sums):
+    columns = [list(c) for c in zip(*sums)] or [[], [], [], []]
+    major, minor = imaging._ellipse_axes(*columns)
+    want_major, want_minor = array_ellipse_axes(*columns)
+    assert np.array(major, dtype=np.float64).tobytes() == want_major.tobytes()
+    assert np.array(minor, dtype=np.float64).tobytes() == want_minor.tobytes()
 
 
 # ---------------------------------------------------------------- geometry
 def _components(img):
     """``(area, geometry)`` of a binary image's 8-components."""
-    labels, area = connected_components(np.asarray(img, dtype=np.uint8))
-    return area, component_geometry(labels, area)
+    img = np.asarray(img, dtype=np.uint8)
+    labels, area = connected_components(img)
+    return area, component_geometry(img, labels, area)
 
 
 def _single_component(img):
@@ -292,7 +360,7 @@ def test_axis_lengths_match_oracle_on_random_blobs(rng):
         if not img.any():
             continue
         labels, area = connected_components(img)
-        geom = component_geometry(labels, area)
+        geom = component_geometry(img, labels, area)
         for i in range(len(area)):
             pixels = list(zip(*np.nonzero(labels == i + 1)))
             major, minor = moment_axes(pixels)
