@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 MODEL_VERSION = 1
+# a model file's first four lines, in this order
+_HEADERS = ("version", "k", "features", "normalization")
 # distances per query block (64 KiB of float64); the eight squared terms
 # take eight times that.  Larger blocks cost memory for no measurable speed.
 _BLOCK_CELLS = 8192
@@ -265,38 +267,27 @@ def save_model(path: str, model: Model) -> None:
 def load_model(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
         raw = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    headers: dict[str, str] = {}
-    body_at = 0
-    for line in raw:
-        key, eq, value = line.partition("=")
-        if not eq or "," in key:
-            break
-        if key in headers:
-            raise ModelFormatError(f"{path}: duplicate header {key!r}")
-        if key not in ("version", "k", "features", "normalization"):
-            raise ModelFormatError(f"{path}: unknown header {key!r}")
-        headers[key] = value
-        body_at += 1
-    for required in ("version", "k", "features", "normalization"):
-        if required not in headers:
-            raise ModelFormatError(f"{path}: missing header {required!r}")
-    if headers["version"] != str(MODEL_VERSION):
-        raise ModelFormatError(f"{path}: unsupported version {headers['version']!r}")
-    if headers["normalization"] != "none":
-        raise ModelFormatError(f"{path}: unsupported normalization {headers['normalization']!r}")
-    feature_order = tuple(headers["features"].split(","))
+    head = [ln.partition("=") for ln in raw[:4]]
+    if [key + eq for key, eq, _ in head] != [h + "=" for h in _HEADERS]:
+        raise ModelFormatError(f"{path}: expected the headers {', '.join(_HEADERS)}, in that order")
+    version, k_text, features, normalization = (value for _, _, value in head)
+    if version != str(MODEL_VERSION):
+        raise ModelFormatError(f"{path}: unsupported version {version!r}")
+    if normalization != "none":
+        raise ModelFormatError(f"{path}: unsupported normalization {normalization!r}")
+    feature_order = tuple(features.split(","))
     if feature_order != FEATURE_NAMES:
         raise ModelFormatError(
             f"{path}: feature order mismatch: {feature_order} != {FEATURE_NAMES}"
         )
     try:
-        k = parse_int(headers["k"])
+        k = parse_int(k_text)
     except ValueError:
-        raise ModelFormatError(f"{path}: bad k {headers['k']!r}") from None
+        raise ModelFormatError(f"{path}: bad k {k_text!r}") from None
 
     vectors = []
     labels = []
-    for line in raw[body_at:]:
+    for line in raw[4:]:
         parts = line.split(",")
         if len(parts) != 1 + len(FEATURE_NAMES):
             raise ModelFormatError(f"{path}: malformed sample line {line!r}")

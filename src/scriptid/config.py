@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from scriptid._util import parse_float, parse_int
+from scriptid._util import is_int, parse_float, parse_int
 
 __all__ = ["PipelineConfig", "load_config"]
 
@@ -31,6 +31,10 @@ class PipelineConfig:
     k: int = 3                  # KNN neighbours
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not is_int(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.min_area < 0:
             raise ValueError(f"min_area must be >= 0, got {self.min_area}")
         if self.tau_line < 0 or self.tau_word < 0:

@@ -1,9 +1,11 @@
 """Page decomposition: skew correction, text lines, words.
 
-Lines come from valleys of the horizontal projection profile (row-wise
-ink counts), words from valleys of each line's vertical projection.
-Inter-word gaps are told apart from inter-character gaps by a minimum
-gap width proportional to the line height.
+Lines are the row runs where the horizontal projection profile (row-wise
+ink counts) exceeds ``tau_line``; words are the column runs of each
+line's vertical projection above ``tau_word``, merged across gaps
+narrower than a minimum width proportional to the line height.  Both
+read their runs with ``imaging._ink_runs``, the run finder of the word
+geometry, and cut them with array arithmetic.
 """
 
 from __future__ import annotations
@@ -15,17 +17,15 @@ import numpy as np
 
 from scriptid import morphology
 from scriptid._util import round_half_up
-from scriptid.imaging import as_binary, connected_components
+from scriptid.imaging import _ink_runs, as_binary, connected_components
 
 __all__ = [
     "LineBand",
     "WordBox",
     "deskew",
-    "horizontal_projection",
     "rotate_binary",
     "segment_lines",
     "segment_words",
-    "vertical_projection",
 ]
 
 # rows rotate_binary maps per pass: its float temporaries stay a few
@@ -54,24 +54,10 @@ class WordBox:
     col_end: int
 
 
-def horizontal_projection(img) -> np.ndarray:
-    """Per-row object-pixel counts."""
-    return as_binary(img).sum(axis=1, dtype=np.int64)
-
-
-def vertical_projection(img) -> np.ndarray:
-    """Per-column object-pixel counts."""
-    return as_binary(img).sum(axis=0, dtype=np.int64)
-
-
-def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal [start, end] (inclusive) runs of True."""
-    if not flags.any():
-        return []
-    padded = np.diff(np.concatenate(([0], flags.view(np.uint8), [0])))
-    starts = np.flatnonzero(padded == 1)
-    ends = np.flatnonzero(padded == -1) - 1
-    return list(zip(starts.tolist(), ends.tolist()))
+def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, last)`` indices of the maximal runs of True in a 1-D mask."""
+    first, length = _ink_runs(flags.view(np.uint8)[None, :])
+    return first, first + length - 1
 
 
 def segment_lines(page, tau_line: int = 0, min_line_height: int = 5) -> list[LineBand]:
@@ -79,12 +65,9 @@ def segment_lines(page, tau_line: int = 0, min_line_height: int = 5) -> list[Lin
 
     Runs shorter than ``min_line_height`` rows are discarded as noise.
     """
-    proj = horizontal_projection(page)
-    bands = []
-    for start, end in _runs(proj > tau_line):
-        if end - start + 1 >= min_line_height:
-            bands.append(LineBand(row_start=int(start), row_end=int(end)))
-    return bands
+    first, last = _runs(as_binary(page).sum(axis=1, dtype=np.int64) > tau_line)
+    keep = last - first + 1 >= min_line_height
+    return [LineBand(row_start=r0, row_end=r1) for r0, r1 in zip(first[keep].tolist(), last[keep].tolist())]
 
 
 def segment_words(
@@ -101,22 +84,17 @@ def segment_words(
     words; narrower gaps are treated as inter-character spacing.  Each
     box is trimmed to its ink extent.
     """
-    # the projection validates the band it reads, not the whole page
-    proj = vertical_projection(np.asarray(page)[line.row_start : line.row_end + 1])
-    ink_runs = _runs(proj > tau_word)
-    if not ink_runs:
+    # validate the band this reads, not the whole page
+    band = as_binary(np.asarray(page)[line.row_start : line.row_end + 1])
+    first, last = _runs(band.sum(axis=0, dtype=np.int64) > tau_word)
+    if first.size == 0:
         return []
     gap_min = max(gap_min_floor, round_half_up(gap_frac * line.height))
-    boxes = []
-    cur_start, cur_end = ink_runs[0]
-    for start, end in ink_runs[1:]:
-        if start - cur_end - 1 >= gap_min:
-            boxes.append(WordBox(line=line, col_start=int(cur_start), col_end=int(cur_end)))
-            cur_start, cur_end = start, end
-        else:
-            cur_end = end
-    boxes.append(WordBox(line=line, col_start=int(cur_start), col_end=int(cur_end)))
-    return boxes
+    # a word ends before each wide gap and the next one starts after it
+    cut = np.flatnonzero(first[1:] - last[:-1] - 1 >= gap_min)
+    starts = first[np.concatenate(([0], cut + 1))]
+    ends = last[np.append(cut, last.size - 1)]
+    return [WordBox(line=line, col_start=c0, col_end=c1) for c0, c1 in zip(starts.tolist(), ends.tolist())]
 
 
 def rotate_binary(img, degrees: float) -> np.ndarray:
@@ -179,6 +157,15 @@ def _alignment_score(drow: np.ndarray, dcol: np.ndarray, degrees: float) -> floa
     return float(np.var(hist))
 
 
+def _grid(lo: float, hi: float, step: float) -> list[float]:
+    """The multiples of ``step`` in ``[lo, hi]``, ascending, rounded to 1e-6
+    degrees (the rounding to 1e-9 steps guards the ends against float
+    error)."""
+    k0 = math.ceil(round(lo / step, 9))
+    k1 = math.floor(round(hi / step, 9))
+    return [round(k * step, 6) for k in range(k0, k1 + 1)]
+
+
 def deskew(
     page,
     max_angle: float = 15.0,
@@ -223,16 +210,12 @@ def deskew(
     def score(angle):
         return _alignment_score(drow, dcol, angle)
 
-    # each grid holds the multiples of its step within +-max_angle (the
-    # round guards against float error); max keeps the first best angle
+    # coarse whole degrees (or ``step``, if coarser) over the whole range,
+    # then ``step`` around the coarse winner; max keeps the first best angle
     coarse_step = max(step, 1.0)
-    n = math.floor(round(max_angle / coarse_step, 9))
-    coarse = [round(k * coarse_step, 6) for k in range(-n, n + 1)]
-    angle = max(coarse, key=score)
+    angle = max(_grid(-max_angle, max_angle, coarse_step), key=score)
     if step < coarse_step:
         lo = max(-max_angle, angle - coarse_step)
         hi = min(max_angle, angle + coarse_step)
-        k0 = math.ceil(round(lo / step, 9))
-        k1 = math.floor(round(hi / step, 9))
-        angle = max((round(k * step, 6) for k in range(k0, k1 + 1)), key=score)
+        angle = max(_grid(lo, hi, step), key=score)
     return rotate_binary(b, -angle), angle

@@ -140,6 +140,68 @@ def naive_rotate(img: np.ndarray, degrees: float) -> np.ndarray:
     return out
 
 
+def loop_runs(counts, tau) -> list[tuple[int, int]]:
+    """Inclusive (start, end) of every maximal run of counts above ``tau``,
+    found by walking the counts one by one."""
+    runs = []
+    start = None
+    for i, count in enumerate(counts):
+        if count > tau and start is None:
+            start = i
+        elif count <= tau and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(counts) - 1))
+    return runs
+
+
+def loop_line_bands(page: np.ndarray, tau_line: int, min_line_height: int) -> list[tuple[int, int]]:
+    """Row runs with more than ``tau_line`` ink pixels, each at least
+    ``min_line_height`` rows tall."""
+    counts = [sum(row) for row in page.tolist()]
+    return [(r0, r1) for r0, r1 in loop_runs(counts, tau_line) if r1 - r0 + 1 >= min_line_height]
+
+
+def loop_word_boxes(page: np.ndarray, band: tuple[int, int], tau_word: int, gap_frac: float,
+                    gap_min_floor: int) -> list[tuple[int, int]]:
+    """Column runs of the band with more than ``tau_word`` ink pixels,
+    merged one by one across every gap narrower than
+    ``max(gap_min_floor, floor(gap_frac * band height + 0.5))`` columns."""
+    r0, r1 = band
+    counts = [sum(col) for col in zip(*page.tolist()[r0 : r1 + 1])]
+    runs = loop_runs(counts, tau_word)
+    if not runs:
+        return []
+    gap_min = max(gap_min_floor, math.floor(gap_frac * (r1 - r0 + 1) + 0.5))
+    boxes = []
+    cur_start, cur_end = runs[0]
+    for start, end in runs[1:]:
+        if start - cur_end - 1 >= gap_min:
+            boxes.append((cur_start, cur_end))
+            cur_start, cur_end = start, end
+        else:
+            cur_end = end
+    boxes.append((cur_start, cur_end))
+    return boxes
+
+
+def symmetric_angle_grid(max_angle: float, step: float) -> list[float]:
+    """Multiples of ``step`` within +-``max_angle``, as deskew's coarse
+    search once listed them: a count of steps on each side of zero."""
+    n = math.floor(round(max_angle / step, 9))
+    return [round(k * step, 6) for k in range(-n, n + 1)]
+
+
+def angle_grid(lo: float, hi: float, step: float) -> list[float]:
+    """Multiples of ``step`` in [lo, hi], as deskew's fine search once
+    listed them: the first and last multiple, each end rounded to 1e-9
+    steps against float error."""
+    k0 = math.ceil(round(lo / step, 9))
+    k1 = math.floor(round(hi / step, 9))
+    return [round(k * step, 6) for k in range(k0, k1 + 1)]
+
+
 def _shift_or(img: np.ndarray, connectivity: int) -> np.ndarray:
     h, w = img.shape
     out = img.copy()

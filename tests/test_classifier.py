@@ -436,6 +436,24 @@ def test_model_rejects_normalization_and_garbage(tmp_path, rng):
         load_model(str(p))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: [lines[1], lines[0]] + lines[2:],
+        lambda lines: lines[:2] + [lines[1]] + lines[2:],
+        lambda lines: lines[:3] + lines[4:],
+        lambda lines: lines[:3] + ["normalization none"] + lines[4:],
+    ],
+    ids=["reordered", "repeated", "missing", "no-equals"],
+)
+def test_model_headers_come_in_save_order(tmp_path, rng, edit):
+    p = tmp_path / "m.txt"
+    save_model(str(p), make_model(rng))
+    p.write_text("\n".join(edit(p.read_text().splitlines())) + "\n")
+    with pytest.raises(ModelFormatError, match="expected the headers version, k, features, normalization"):
+        load_model(str(p))
+
+
 def test_model_rejects_non_finite_vectors(tmp_path, rng):
     for bad in (np.nan, np.inf, -np.inf):
         v = np.zeros((3, 8))

@@ -689,6 +689,21 @@ def test_config_is_checked_when_constructed(overrides, message):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("min_area", float("nan")), ("se_min_len", 3.0), ("deskew_dilate_len", 2.5), ("k", True)]
+    + [(f, 3.0) for f in ("min_area", "tau_line", "tau_word", "gap_min_floor", "min_line_height")],
+)
+def test_config_integer_fields_reject_non_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        PipelineConfig(**{field: value})
+
+
+def test_config_integer_fields_take_numpy_integers():
+    cfg = PipelineConfig(min_area=np.int64(15), k=np.int32(5), se_min_len=np.uint8(3))
+    assert cfg.min_area == 15 and cfg.k == 5 and cfg.se_min_len == 3
+
+
+@pytest.mark.parametrize(
     "entry",
     ["min_area=1_5", "se_ratio=0_7", "min_area=\u0661\u0665", "se_ratio=\u0660.7", "k=+3", "gap_frac=+0.2"],
     ids=["int-separator", "float-separator", "int-arabic-indic", "float-arabic-indic", "int-plus", "float-plus"],

@@ -9,46 +9,22 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import scriptid.segmentation as segmentation
-from oracles import naive_rotate, naive_vertical_dilation
+from oracles import (
+    angle_grid,
+    loop_line_bands,
+    loop_word_boxes,
+    naive_rotate,
+    naive_vertical_dilation,
+    symmetric_angle_grid,
+)
 from scriptid.corpus import render_page
 from scriptid.segmentation import (
     LineBand,
     deskew,
-    horizontal_projection,
     rotate_binary,
     segment_lines,
     segment_words,
-    vertical_projection,
 )
-
-
-# ---------------------------------------------------------------- projections
-def test_projections_trivial():
-    img = np.zeros((6, 10), np.uint8)
-    assert not horizontal_projection(img).any()
-    assert not vertical_projection(img).any()
-    img[2, :] = 1
-    assert horizontal_projection(img)[2] == 10
-    img2 = np.zeros((7, 4), np.uint8)
-    img2[:, 1] = 1
-    assert vertical_projection(img2)[1] == 7
-
-
-def test_projection_sums_equal_ink_count(rng):
-    img = (rng.random((20, 30)) < 0.4).astype(np.uint8)
-    assert horizontal_projection(img).sum() == img.sum()
-    assert vertical_projection(img).sum() == img.sum()
-
-
-def test_projection_transpose_symmetry(rng):
-    img = (rng.random((12, 18)) < 0.5).astype(np.uint8)
-    assert np.array_equal(vertical_projection(img), horizontal_projection(img.T))
-
-
-def test_projection_bounds(rng):
-    img = (rng.random((15, 9)) < 0.7).astype(np.uint8)
-    assert (horizontal_projection(img) <= 9).all()
-    assert (vertical_projection(img) <= 15).all()
 
 
 # ---------------------------------------------------------------- lines
@@ -142,6 +118,94 @@ def test_word_boxes_disjoint_and_sorted(glyph_bank):
         boxes = segment_words(page, band)
         for a, b in zip(boxes, boxes[1:]):
             assert a.col_end < b.col_start
+
+
+# ---------------------------------------------------------------- run arithmetic
+@st.composite
+def sparse_pages(draw):
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return (np.random.default_rng(seed).random((h, w)) < density).astype(np.uint8)
+
+
+_THRESHOLDS = dict(
+    tau_line=st.integers(0, 3),
+    tau_word=st.integers(0, 3),
+    min_line_height=st.integers(1, 4),
+    gap_frac=st.sampled_from([0.1, 0.2, 0.25, 0.5, 0.9]),
+    gap_min_floor=st.integers(1, 4),
+)
+
+
+def _boxes(page, band, tau_word, gap_frac, gap_min_floor):
+    return [
+        (box.col_start, box.col_end)
+        for box in segment_words(page, band, tau_word=tau_word, gap_frac=gap_frac, gap_min_floor=gap_min_floor)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(page=sparse_pages(), **_THRESHOLDS)
+@example(page=np.zeros((6, 9), np.uint8), tau_line=0, tau_word=0, min_line_height=1, gap_frac=0.2, gap_min_floor=2)
+@example(page=np.ones((6, 9), np.uint8), tau_line=0, tau_word=0, min_line_height=1, gap_frac=0.2, gap_min_floor=2)
+@example(page=np.ones((6, 9), np.uint8), tau_line=8, tau_word=5, min_line_height=1, gap_frac=0.2, gap_min_floor=2)
+@example(page=np.array([[1, 0, 1, 1, 0, 0, 1]], np.uint8), tau_line=0, tau_word=0, min_line_height=1,
+         gap_frac=0.2, gap_min_floor=2)
+@example(page=np.array([[1], [0], [1], [1]], np.uint8), tau_line=0, tau_word=0, min_line_height=2,
+         gap_frac=0.2, gap_min_floor=1)
+def test_segmentation_matches_loop_oracle(page, tau_line, tau_word, min_line_height, gap_frac, gap_min_floor):
+    bands = segment_lines(page, tau_line=tau_line, min_line_height=min_line_height)
+    assert [(b.row_start, b.row_end) for b in bands] == loop_line_bands(page, tau_line, min_line_height)
+    # the whole page as one band too, so that empty and all-ink bands
+    # are read whatever the line thresholds keep
+    for band in bands + [LineBand(0, page.shape[0] - 1)]:
+        boxes = _boxes(page, band, tau_word, gap_frac, gap_min_floor)
+        assert boxes == loop_word_boxes(page, (band.row_start, band.row_end), tau_word, gap_frac, gap_min_floor)
+        assert all(type(c) is int for box in boxes for c in box)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    height=st.integers(1, 30),
+    gap_frac=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    gap_min_floor=st.integers(1, 4),
+    widths=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    short=st.booleans(),
+    tau_word=st.integers(0, 2),
+)
+def test_word_gap_of_gap_min_splits_and_one_less_does_not(height, gap_frac, gap_min_floor, widths, short, tau_word):
+    gap_min = max(gap_min_floor, math.floor(gap_frac * height + 0.5))
+    gap = gap_min - 1 if short else gap_min
+    page = np.zeros((height, 2 + widths[0] + gap + widths[1]), np.uint8)
+    page[:, 1 : 1 + widths[0]] = 1
+    page[:, 1 + widths[0] + gap : -1] = 1
+    band = LineBand(0, height - 1)
+    boxes = _boxes(page, band, tau_word, gap_frac, gap_min_floor)
+    assert boxes == loop_word_boxes(page, (0, height - 1), tau_word, gap_frac, gap_min_floor)
+    if height <= tau_word:
+        assert boxes == []
+    else:
+        assert len(boxes) == (1 if short else 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(max_angle=st.floats(0.0, 45.0), step=st.floats(1.0, 50.0))
+@example(max_angle=5.0, step=3.0)
+@example(max_angle=5.5, step=1.0)
+@example(max_angle=0.0, step=1.0)
+@example(max_angle=15.0, step=1.0)
+def test_grid_equals_the_symmetric_coarse_grid(max_angle, step):
+    assert segmentation._grid(-max_angle, max_angle, step) == symmetric_angle_grid(max_angle, step)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-45.0, 45.0), width=st.floats(0.0, 4.0), step=st.floats(0.01, 1.0))
+@example(lo=-5.0, width=2.0, step=0.1)
+@example(lo=0.3, width=0.3, step=0.1)
+def test_grid_equals_the_fine_grid(lo, width, step):
+    assert segmentation._grid(lo, lo + width, step) == angle_grid(lo, lo + width, step)
 
 
 # ---------------------------------------------------------------- rotation
