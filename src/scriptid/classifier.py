@@ -88,7 +88,7 @@ class Model:
 
     vectors: np.ndarray  # (n, 8) float64, read-only
     labels: tuple[str, ...]
-    k: int = 3
+    k: int
     label_set: tuple[str, ...] = field(init=False)
     _by_feature: np.ndarray = field(init=False, repr=False)  # (8, n)
 

@@ -1,5 +1,10 @@
 """Pipeline configuration: every threshold in one place.
 
+The segmentation and feature stages take a ``PipelineConfig`` (default
+``PipelineConfig()``) rather than threshold keywords, so this is the
+only place a threshold is named, defaulted and checked, for library
+calls and ``--config`` alike.  Primitives keep plain parameters.
+
 Values can be overridden from a ``key=value`` text file (``#`` starts a
 comment), each key at most once and each value a plain ASCII decimal.
 A ``PipelineConfig`` checks its fields when it is constructed, so a bad

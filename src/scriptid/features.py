@@ -41,6 +41,9 @@ component is a copy of the word.  The component geometry is computed
 once, on first read, from that label map, and for a large word from
 the crop's ink runs, reading the map once per run.
 
+The SE length, one for all four directions, is ``cfg.se_ratio`` of the
+word's mean component height (``se_length_for``).
+
 Canonical feature order (fixed; stamped into model files):
 ``opd_0, opd_45, opd_90, opd_135, aar, pr, ecc, ext``.
 """
@@ -51,11 +54,13 @@ import csv
 import functools
 import io
 import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from scriptid._util import crop_to_ink, round_half_up
+from scriptid._util import _FLOAT, crop_to_ink, round_half_up
+from scriptid.config import PipelineConfig
 from scriptid.imaging import Geometry, as_binary, component_geometry, connected_components
 from scriptid.morphology import (
     StructuringElement,
@@ -138,17 +143,17 @@ class WordImage:
         return nbrs[self.img.take(nbrs) == 1]
 
 
-def se_length_for(word: WordImage, ratio: float = 0.7, min_len: int = 3) -> int:
-    """Line-SE length for a word: ``ratio`` of the mean component height.
+def se_length_for(word: WordImage, cfg: PipelineConfig = PipelineConfig()) -> int:
+    """Line-SE length for a word: ``cfg.se_ratio`` of the mean component height.
 
-    Rounded half-up, floored at ``min_len``, bumped up to odd so the SE
-    stays centered.  One length is shared by all four directions.
+    Rounded half-up, floored at ``cfg.se_min_len``, bumped up to odd so
+    the SE stays centered.  One length is shared by all four directions.
     """
     boxes = word.geometry.bbox.tolist()
     mean_h = sum(r1 - r0 + 1 for r0, _, r1, _ in boxes) / len(boxes)
-    length = round_half_up(ratio * mean_h)
-    if length < min_len:
-        length = min_len
+    length = round_half_up(cfg.se_ratio * mean_h)
+    if length < cfg.se_min_len:
+        length = cfg.se_min_len
     if length % 2 == 0:
         length += 1
     return length
@@ -211,9 +216,10 @@ def avg_extent(word: WordImage) -> float:
     return _mean([a / ((r1 - r0 + 1) * (c1 - c0 + 1)) for a, (r0, c0, r1, c1) in boxes])
 
 
-def extract_features(word: WordImage, ratio: float = 0.7, min_len: int = 3) -> np.ndarray:
-    """All 8 features in canonical order as a float64 vector."""
-    length = se_length_for(word, ratio=ratio, min_len=min_len)
+def extract_features(word: WordImage, cfg: PipelineConfig = PipelineConfig()) -> np.ndarray:
+    """All 8 features in canonical order as a float64 vector; the SE
+    length comes from ``cfg`` (``se_length_for``)."""
+    length = se_length_for(word, cfg)
     vec = [_opd(word, line_se(d, length)) for d in DIRECTIONS]
     vec += [aar(word), pixel_ratio(word), avg_eccentricity(word), avg_extent(word)]
     return np.array(vec, dtype=np.float64)
@@ -221,6 +227,10 @@ def extract_features(word: WordImage, ratio: float = 0.7, min_len: int = 3) -> n
 
 # ---------------------------------------------------------------------------
 # feature dump lines: path,label,f1..f8 (label may be empty)
+
+# the eight values as config and model numbers are written: plain ASCII
+# decimals (``_util.parse_float``), matched once per line
+_VALUES = re.compile(",".join([f"(?:{_FLOAT.pattern})"] * len(FEATURE_NAMES)))
 
 
 def format_feature_line(path: str, label: str | None, vec: np.ndarray) -> str:
@@ -236,6 +246,9 @@ def parse_feature_line(line: str) -> tuple[str, str | None, np.ndarray]:
     row = next(csv.reader([line]))
     if len(row) != 2 + len(FEATURE_NAMES):
         raise ValueError(f"malformed feature line ({len(row)} fields): {line!r}")
+    # no value holds a comma, so a match splits at the seven separators
+    if not _VALUES.fullmatch(",".join(row[2:])):
+        raise ValueError(f"feature values must be plain decimals: {line!r}")
     vec = np.array([float(v) for v in row[2:]], dtype=np.float64)
     if not np.isfinite(vec).all():
         raise ValueError(f"non-finite feature in line: {line!r}")

@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import ndimage as ndi
 
-from scriptid._util import label_structure
+from scriptid._util import is_int, label_structure
 
 __all__ = [
     "Geometry",
@@ -158,7 +158,10 @@ def otsu_threshold(img) -> int:
 
 
 def binarize(img, t: int) -> np.ndarray:
-    """Map intensities <= t to 1 (ink is dark) and the rest to 0."""
+    """Map intensities <= t to 1 (ink is dark) and the rest to 0; ``t``
+    is an integer in 0..255, as ``otsu_threshold`` returns."""
+    if not (is_int(t) and 0 <= t <= 255):
+        raise ValueError(f"threshold must be an integer in 0..255, got {t!r}")
     g = as_gray(img)
     return (g <= t).astype(np.uint8)
 
@@ -315,15 +318,16 @@ def _ellipse_axes(s_rr, s_cc, s_rc, area) -> tuple[list[float], list[float]]:
     return major, minor
 
 
-def remove_small_objects(img, min_area: int = 15) -> np.ndarray:
+def remove_small_objects(img, min_area: int) -> np.ndarray:
     """Drop every 8-connected component with fewer than ``min_area`` pixels.
 
     Speckle cleanup for scanned pages: quotation marks, stray dots and
     similar debris vanish while every surviving glyph keeps its exact
-    shape (the filter is a pure component-area criterion).
+    shape (the filter is a pure component-area criterion).  ``min_area``
+    is a nonnegative integer; the pipeline passes ``PipelineConfig.min_area``.
     """
-    if min_area < 0:
-        raise ValueError("min_area must be nonnegative")
+    if not (is_int(min_area) and min_area >= 0):
+        raise ValueError(f"min_area must be a nonnegative integer, got {min_area!r}")
     labels, area = connected_components(img, connectivity=8)
     keep = np.concatenate(([False], area >= min_area))  # indexed by label
     return keep.view(np.uint8)[labels]

@@ -5,6 +5,9 @@ despeckle, deskew), ``words`` cuts a binary page into named word
 crops, and ``vector`` computes one word's 8 features.  The CLI and
 library callers run these same functions, so both read a scan alike;
 a gray image of one intensity, say, is blank (``otsu_binarize``).
+Each stage reads its thresholds from the ``cfg`` passed straight
+through; only ``remove_small_objects``, a primitive, is handed
+``cfg.min_area``.
 
 Every step is called through its module (``imaging.binarize``,
 ``features.extract_features``, ...), never through a name imported
@@ -42,25 +45,15 @@ def preprocess(gray, cfg: PipelineConfig = PipelineConfig()) -> tuple[np.ndarray
     """``(page, threshold, skew angle)``: binarize, despeckle, deskew."""
     page, t = otsu_binarize(gray)
     page = imaging.remove_small_objects(page, min_area=cfg.min_area)
-    page, angle = segmentation.deskew(
-        page, max_angle=cfg.deskew_max_angle, step=cfg.deskew_step,
-        dilate_len=cfg.deskew_dilate_len, min_area=cfg.min_area,
-    )
+    page, angle = segmentation.deskew(page, cfg)
     return page, t, angle
 
 
 def words(page, cfg: PipelineConfig = PipelineConfig()) -> list:
     """``(name, box, crop)`` per word of a binary page, named ``L###_W###``."""
     out = []
-    bands = segmentation.segment_lines(
-        page, tau_line=cfg.tau_line, min_line_height=cfg.min_line_height
-    )
-    for li, band in enumerate(bands, start=1):
-        boxes = segmentation.segment_words(
-            page, band, tau_word=cfg.tau_word,
-            gap_frac=cfg.gap_frac, gap_min_floor=cfg.gap_min_floor,
-        )
-        for wi, box in enumerate(boxes, start=1):
+    for li, band in enumerate(segmentation.segment_lines(page, cfg), start=1):
+        for wi, box in enumerate(segmentation.segment_words(page, band, cfg), start=1):
             crop = page[band.row_start : band.row_end + 1, box.col_start : box.col_end + 1]
             out.append((f"L{li:03d}_W{wi:03d}", box, crop))
     return out
@@ -69,4 +62,4 @@ def words(page, cfg: PipelineConfig = PipelineConfig()) -> list:
 def vector(img, cfg: PipelineConfig = PipelineConfig()) -> np.ndarray:
     """The 8-feature vector of one word image; ``ValueError`` if it holds no ink."""
     word = features.WordImage.from_image(img)
-    return features.extract_features(word, ratio=cfg.se_ratio, min_len=cfg.se_min_len)
+    return features.extract_features(word, cfg)

@@ -1,11 +1,14 @@
 """Page decomposition: skew correction, text lines, words.
 
 Lines are the row runs where the horizontal projection profile (row-wise
-ink counts) exceeds ``tau_line``; words are the column runs of each
-line's vertical projection above ``tau_word``, merged across gaps
+ink counts) exceeds ``cfg.tau_line``; words are the column runs of each
+line's vertical projection above ``cfg.tau_word``, merged across gaps
 narrower than a minimum width proportional to the line height.  Both
 read their runs with ``imaging._ink_runs``, the run finder of the word
 geometry, and cut them with array arithmetic.
+
+The stages read their thresholds from a ``PipelineConfig``;
+``rotate_binary``, a primitive, takes a plain angle.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from scriptid import morphology
 from scriptid._util import round_half_up
+from scriptid.config import PipelineConfig
 from scriptid.imaging import _ink_runs, as_binary, connected_components
 
 __all__ = [
@@ -60,36 +64,30 @@ def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, first + length - 1
 
 
-def segment_lines(page, tau_line: int = 0, min_line_height: int = 5) -> list[LineBand]:
-    """Text-line bands: maximal row runs with projection above ``tau_line``.
+def segment_lines(page, cfg: PipelineConfig = PipelineConfig()) -> list[LineBand]:
+    """Text-line bands: maximal row runs with projection above ``cfg.tau_line``.
 
-    Runs shorter than ``min_line_height`` rows are discarded as noise.
+    Runs shorter than ``cfg.min_line_height`` rows are discarded as noise.
     """
-    first, last = _runs(as_binary(page).sum(axis=1, dtype=np.int64) > tau_line)
-    keep = last - first + 1 >= min_line_height
+    first, last = _runs(as_binary(page).sum(axis=1, dtype=np.int64) > cfg.tau_line)
+    keep = last - first + 1 >= cfg.min_line_height
     return [LineBand(row_start=r0, row_end=r1) for r0, r1 in zip(first[keep].tolist(), last[keep].tolist())]
 
 
-def segment_words(
-    page,
-    line: LineBand,
-    tau_word: int = 0,
-    gap_frac: float = 0.2,
-    gap_min_floor: int = 2,
-) -> list[WordBox]:
+def segment_words(page, line: LineBand, cfg: PipelineConfig = PipelineConfig()) -> list[WordBox]:
     """Word boxes in one line, split at wide vertical-projection valleys.
 
-    Column gaps (projection <= ``tau_word``) at least
-    ``max(gap_min_floor, round(gap_frac * line height))`` wide separate
+    Column gaps (projection <= ``cfg.tau_word``) at least
+    ``max(cfg.gap_min_floor, round(cfg.gap_frac * line height))`` wide separate
     words; narrower gaps are treated as inter-character spacing.  Each
     box is trimmed to its ink extent.
     """
     # validate the band this reads, not the whole page
     band = as_binary(np.asarray(page)[line.row_start : line.row_end + 1])
-    first, last = _runs(band.sum(axis=0, dtype=np.int64) > tau_word)
+    first, last = _runs(band.sum(axis=0, dtype=np.int64) > cfg.tau_word)
     if first.size == 0:
         return []
-    gap_min = max(gap_min_floor, round_half_up(gap_frac * line.height))
+    gap_min = max(cfg.gap_min_floor, round_half_up(cfg.gap_frac * line.height))
     # a word ends before each wide gap and the next one starts after it
     cut = np.flatnonzero(first[1:] - last[:-1] - 1 >= gap_min)
     starts = first[np.concatenate(([0], cut + 1))]
@@ -166,37 +164,25 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return [round(k * step, 6) for k in range(k0, k1 + 1)]
 
 
-def deskew(
-    page,
-    max_angle: float = 15.0,
-    step: float = 0.1,
-    dilate_len: int = 10,
-    min_area: int = 15,
-) -> tuple[np.ndarray, float]:
+def deskew(page, cfg: PipelineConfig = PipelineConfig()) -> tuple[np.ndarray, float]:
     """Estimate and remove page skew; returns (deskewed page, angle).
 
     The page is dilated with ``morphology.dilate`` by a vertical line SE
-    of length ``dilate_len`` (at least 1: rows -(L//2) .. L-L//2-1 around
+    of length ``cfg.deskew_dilate_len`` (rows -(L//2) .. L-L//2-1 around
     each pixel, so an even length reaches one row further up than down)
     so characters clump into word blobs, blobs smaller than
-    ``min_area`` pixels are dropped, and the skew angle is the candidate in
-    [-max_angle, +max_angle] whose un-rotation packs the surviving ink
-    into the sharpest horizontal bands (maximum variance of the row
-    projection).  The search runs coarse-to-fine down to ``step``
-    degrees.  Pages with fewer than two blobs are returned unchanged
-    with angle 0.  ``step`` must be finite and positive, ``max_angle``
-    finite and nonnegative.
+    ``cfg.min_area`` pixels are dropped, and the skew angle is the
+    candidate in [-max, +max] (``cfg.deskew_max_angle``) whose
+    un-rotation packs the surviving ink into the sharpest horizontal
+    bands (maximum variance of the row projection).  The search runs
+    coarse-to-fine down to ``cfg.deskew_step`` degrees.  Pages with
+    fewer than two blobs are returned unchanged with angle 0.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and > 0, got {step}")
-    if not (math.isfinite(max_angle) and max_angle >= 0):
-        raise ValueError(f"max_angle must be finite and >= 0, got {max_angle}")
-    if dilate_len < 1:
-        raise ValueError(f"dilate_len must be >= 1, got {dilate_len}")
+    max_angle, step = cfg.deskew_max_angle, cfg.deskew_step
     b = as_binary(page)
-    blobs = morphology.dilate(b, morphology.StructuringElement(90, dilate_len))
+    blobs = morphology.dilate(b, morphology.StructuringElement(90, cfg.deskew_dilate_len))
     labels, area = connected_components(blobs, connectivity=8)
-    keep = np.concatenate(([False], area >= min_area))  # indexed by label
+    keep = np.concatenate(([False], area >= cfg.min_area))  # indexed by label
     if np.count_nonzero(keep) < 2:
         return b.copy(), 0.0
     ink = np.flatnonzero(keep[labels] & b.view(bool))

@@ -256,11 +256,11 @@ def test_extract_program_fault_fails_without_dump(tmp_path, small_corpus, monkey
     real = features.extract_features
     seen = []
 
-    def faulty(word, **kwargs):
+    def faulty(word, *args):
         seen.append(word)
         if len(seen) == 5:
             raise IndexError("bug in feature code")
-        return real(word, **kwargs)
+        return real(word, *args)
 
     monkeypatch.setattr(features, "extract_features", faulty)
     out = tmp_path / "f.csv"

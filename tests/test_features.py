@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import flood_components, moment_axes
 from scriptid import features, imaging, morphology
 from scriptid._util import label_structure
+from scriptid.config import PipelineConfig
 from scriptid.features import (
     DIRECTIONS,
     FEATURE_NAMES,
@@ -199,7 +200,7 @@ def refilled_density(word, direction, length):
     return float(int(g.sum()) / g.size)
 
 
-SE_PARAMS = ((0.7, 3), (0.3, 1), (1.0, 5), (1.5, 3))
+SE_PARAMS = ((0.7, 3), (0.3, 1), (1.0, 5), (1.0, 9))
 
 
 @settings(max_examples=300, deadline=None)
@@ -215,8 +216,9 @@ SE_PARAMS = ((0.7, 3), (0.3, 1), (1.0, 5), (1.5, 3))
 def test_opd_and_pixel_ratio_match_refill_oracle(img, params):
     ratio, min_len = params
     word = word_from(img)
-    length = se_length_for(word, ratio=ratio, min_len=min_len)
-    opds = extract_features(word, ratio=ratio, min_len=min_len)[:4].tolist()
+    cfg = PipelineConfig(se_ratio=ratio, se_min_len=min_len)
+    length = se_length_for(word, cfg)
+    opds = extract_features(word, cfg)[:4].tolist()
     assert opds == [refilled_density(word, d, length) for d in DIRECTIONS]
     filled = fill_holes(word.img)
     pr = pixel_ratio(word)
@@ -538,12 +540,14 @@ def test_stroke_direction_sensitivity():
 
 # ---------------------------------------------------------------- dump lines
 def test_feature_line_round_trip(rng):
-    vec = rng.random(8)
-    line = format_feature_line("corpus/Kannada/w0001.pbm", "Kannada", vec)
-    path, label, back = parse_feature_line(line)
-    assert path == "corpus/Kannada/w0001.pbm"
-    assert label == "Kannada"
-    assert back.tobytes() == vec.tobytes()
+    # repr's forms too: negative and positive exponents, -0.0
+    special = np.array([0.0, -0.0, 1e-05, 1.5e20, 0.1, 123456.0, 2.5e-308, -7.25])
+    for vec in (rng.random(8), special):
+        line = format_feature_line("corpus/Kannada/w0001.pbm", "Kannada", vec)
+        path, label, back = parse_feature_line(line)
+        assert path == "corpus/Kannada/w0001.pbm"
+        assert label == "Kannada"
+        assert back.tobytes() == vec.tobytes()
 
 
 def test_feature_line_empty_label(rng):
@@ -565,6 +569,14 @@ def test_feature_line_rejects_non_finite():
     for bad in ("nan", "inf", "-inf"):
         with pytest.raises(ValueError, match="non-finite"):
             parse_feature_line(ok.replace(",0.0", "," + bad, 1))
+
+
+@pytest.mark.parametrize("bad", ["1_0", " 1.0", "+1", "\u0661"])
+def test_feature_line_values_are_plain_ascii_decimals(bad):
+    # float() reads all four (1_0 as 10.0); format_feature_line writes none
+    ok = format_feature_line("w.pbm", "A", np.zeros(8))
+    with pytest.raises(ValueError, match="plain decimals"):
+        parse_feature_line(ok.replace(",0.0", "," + bad, 1))
 
 
 def test_feature_names_shape():

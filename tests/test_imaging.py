@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -90,6 +92,20 @@ def test_binarize_bimodal_maps_dark_pixels():
     t = otsu_threshold(img)
     out = binarize(img, t)
     assert np.array_equal(out, (img == 40).astype(np.uint8))
+
+
+@pytest.mark.parametrize("t", [math.nan, 300, -5, 256, 2.5, True, "128"])
+def test_binarize_takes_only_integer_thresholds_in_byte_range(t):
+    # nan and -5 used to give no ink, 300 all ink; 2.5 and True passed
+    ramp = np.arange(100, dtype=np.uint8).reshape(10, 10)
+    with pytest.raises(ValueError, match="threshold must be an integer in 0..255"):
+        binarize(ramp, t)
+
+
+def test_binarize_takes_numpy_integer_thresholds():
+    ramp = np.arange(100, dtype=np.uint8).reshape(10, 10)
+    for t in (0, np.uint8(49), np.int64(255)):
+        assert np.array_equal(binarize(ramp, t), (ramp <= int(t)).astype(np.uint8))
 
 
 def test_binarize_monotone_in_threshold(rng):
@@ -427,6 +443,24 @@ def test_remove_small_objects_reads_only_areas(rng, monkeypatch, geometry_calls)
     remove_small_objects(img, min_area=5)
     assert labelings == [(32, 32)]
     assert geometry_calls == []
+
+
+@pytest.mark.parametrize("min_area", [math.nan, 2.5, True, -1])
+def test_remove_small_objects_rejects_non_integer_or_negative_min_area(min_area):
+    # min_area=nan used to blank the page
+    blob = np.zeros((10, 10), np.uint8)
+    blob[2:8, 2:7] = 1
+    with pytest.raises(ValueError, match="min_area must be a nonnegative integer"):
+        remove_small_objects(blob, min_area)
+
+
+def test_remove_small_objects_takes_numpy_integer_min_area():
+    blob = np.zeros((10, 10), np.uint8)
+    blob[2:8, 2:7] = 1
+    blob[0, 9] = 1
+    want = blob.copy()
+    want[0, 9] = 0
+    assert np.array_equal(remove_small_objects(blob, np.int64(15)), want)
 
 
 def test_remove_small_objects_idempotent(rng):

@@ -17,6 +17,7 @@ from oracles import (
     naive_vertical_dilation,
     symmetric_angle_grid,
 )
+from scriptid.config import PipelineConfig
 from scriptid.corpus import render_page
 from scriptid.segmentation import (
     LineBand,
@@ -44,7 +45,7 @@ def test_segment_lines_discards_short_bands():
     page = np.zeros((30, 30), np.uint8)
     page[2:4, :] = 1  # 2 rows < min_line_height
     page[10:20, :] = 1
-    assert segment_lines(page, min_line_height=5) == [LineBand(10, 19)]
+    assert segment_lines(page, PipelineConfig(min_line_height=5)) == [LineBand(10, 19)]
 
 
 def test_segment_lines_on_generated_page(glyph_bank):
@@ -142,7 +143,9 @@ _THRESHOLDS = dict(
 def _boxes(page, band, tau_word, gap_frac, gap_min_floor):
     return [
         (box.col_start, box.col_end)
-        for box in segment_words(page, band, tau_word=tau_word, gap_frac=gap_frac, gap_min_floor=gap_min_floor)
+        for box in segment_words(
+            page, band, PipelineConfig(tau_word=tau_word, gap_frac=gap_frac, gap_min_floor=gap_min_floor)
+        )
     ]
 
 
@@ -156,7 +159,7 @@ def _boxes(page, band, tau_word, gap_frac, gap_min_floor):
 @example(page=np.array([[1], [0], [1], [1]], np.uint8), tau_line=0, tau_word=0, min_line_height=2,
          gap_frac=0.2, gap_min_floor=1)
 def test_segmentation_matches_loop_oracle(page, tau_line, tau_word, min_line_height, gap_frac, gap_min_floor):
-    bands = segment_lines(page, tau_line=tau_line, min_line_height=min_line_height)
+    bands = segment_lines(page, PipelineConfig(tau_line=tau_line, min_line_height=min_line_height))
     assert [(b.row_start, b.row_end) for b in bands] == loop_line_bands(page, tau_line, min_line_height)
     # the whole page as one band too, so that empty and all-ink bands
     # are read whatever the line thresholds keep
@@ -359,7 +362,7 @@ def test_deskew_vertical_dilation_matches_window_oracle(rng, monkeypatch):
         page = (rng.random((40, 56)) < 0.04).astype(np.uint8)
         for length in range(1, 13):
             seen.clear()
-            deskew(page, dilate_len=length)
+            deskew(page, PipelineConfig(deskew_dilate_len=length))
             assert len(seen) == 1
             assert np.array_equal(seen[0], naive_vertical_dilation(page, length)), length
 
@@ -370,11 +373,11 @@ def test_deskew_dilation_longer_than_twice_the_page_is_clamped(rng):
     page = (rng.random((12, 40)) < 0.05).astype(np.uint8)
     page[3, 1:39] = 1
     page[8, 1:39] = 1
-    want = deskew(page, dilate_len=24)
+    want = deskew(page, PipelineConfig(deskew_dilate_len=24))
     for length in (25, 1_000_000):
         tracemalloc.start()
         try:
-            got = deskew(page, dilate_len=length)
+            got = deskew(page, PipelineConfig(deskew_dilate_len=length))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -387,7 +390,7 @@ def test_deskew_dilation_longer_than_twice_the_page_is_clamped(rng):
 def test_deskew_rejects_nonpositive_dilate_len():
     page = np.zeros((10, 10), np.uint8)
     with pytest.raises(ValueError, match="dilate_len"):
-        deskew(page, dilate_len=0)
+        deskew(page, PipelineConfig(deskew_dilate_len=0))
 
 
 @pytest.mark.parametrize("true_angle", [5.8, -5.9])
@@ -395,7 +398,8 @@ def test_deskew_rejects_nonpositive_dilate_len():
 def test_deskew_stays_within_max_angle(glyph_bank, true_angle, max_angle, step):
     # rounding max_angle / step to the nearest integer would try +-6.0 here
     page, _ = render_page(random.Random(35), glyph_bank, n_lines=4, margin=90)
-    _, angle = deskew(rotate_binary(page, true_angle), max_angle=max_angle, step=step)
+    cfg = PipelineConfig(deskew_max_angle=max_angle, deskew_step=step)
+    _, angle = deskew(rotate_binary(page, true_angle), cfg)
     assert abs(angle) <= max_angle
 
 
@@ -406,19 +410,30 @@ def page_skewed_3_degrees(glyph_bank):
 
 
 @pytest.mark.parametrize(
-    "kwargs, name",
+    "kwargs",
     [
-        ({"step": 0.0}, "step"),
-        ({"step": -1.0}, "step"),
-        ({"step": math.inf}, "step"),
-        ({"step": math.nan}, "step"),
-        ({"max_angle": -5.0}, "max_angle"),
-        ({"max_angle": math.inf}, "max_angle"),
-        ({"max_angle": math.nan}, "max_angle"),
+        {"deskew_step": 0.0},
+        {"deskew_step": -1.0},
+        {"deskew_step": math.inf},
+        {"deskew_step": math.nan},
+        {"deskew_max_angle": -5.0},
+        {"deskew_max_angle": math.inf},
+        {"deskew_max_angle": math.nan},
     ],
     ids=["step=0", "step=-1", "step=inf", "step=nan", "max_angle=-5", "max_angle=inf", "max_angle=nan"],
 )
-def test_deskew_rejects_malformed_angles(page_skewed_3_degrees, kwargs, name):
-    # each of these used to return angle 0.0 or fail deep in the search
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        deskew(page_skewed_3_degrees, **kwargs)
+def test_deskew_rejects_malformed_angles(page_skewed_3_degrees, kwargs):
+    # each of these used to return angle 0.0 or fail deep in the search;
+    # the config that carries them refuses them before deskew runs
+    with pytest.raises(ValueError, match=r"^need 0 < deskew_step <= deskew_max_angle <= 45$"):
+        deskew(page_skewed_3_degrees, PipelineConfig(**kwargs))
+
+
+def test_deskew_drops_blobs_below_min_area(page_skewed_3_degrees):
+    # every blob is smaller than the page, so none survives: no skew search
+    page = page_skewed_3_degrees
+    out, angle = deskew(page, PipelineConfig(min_area=page.size))
+    assert angle == 0.0
+    assert np.array_equal(out, page)
+    _, angle = deskew(page, PipelineConfig(min_area=1))
+    assert abs(angle - 3.0) <= 0.5
