@@ -21,6 +21,12 @@ Every decision (``classify_nn``, ``classify_knn``, ``evaluate`` and
   That is the first k of a stable argsort of the row.
 - The vote over those k samples.
 
+``evaluate`` and ``leave_one_out`` count each vote straight into a
+confusion matrix, and an ``EvalReport`` is that matrix (read-only) with
+its label order: ``per_class``, ``overall`` and ``total`` are read from
+it on demand, so no stored rate can disagree with it.  Reports compare
+and hash by identity, as models do.
+
 A block holds about ``_BLOCK_CELLS`` distances (at least one query
 row), so ``evaluate`` and ``leave_one_out`` never hold an n x n matrix:
 a block's eight squared terms take 512 KiB for any model of up to 8192
@@ -29,7 +35,6 @@ samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,17 +172,14 @@ def _neighbours(model: Model, queries: np.ndarray, k: int, exclude_self: bool = 
 
 
 def _vote(model: Model, dists: np.ndarray, order: np.ndarray, k: int) -> tuple[str, dict[str, int]]:
-    voters = order[:k]
     votes: dict[str, int] = {}
     dist_sum: dict[str, float] = {}
-    for i in voters:
+    for i in order[:k]:
         lab = model.labels[i]
         votes[lab] = votes.get(lab, 0) + 1
         dist_sum[lab] = dist_sum.get(lab, 0.0) + float(dists[i])
-    top = max(votes.values())
-    tied = [lab for lab, n in votes.items() if n == top]
-    winner = min(tied, key=lambda lab: (dist_sum[lab], lab))
-    return winner, votes
+    # most votes, then the smallest summed voter distance, then label order
+    return min(votes, key=lambda lab: (-votes[lab], dist_sum[lab], lab)), votes
 
 
 def classify_nn(model: Model, v) -> tuple[str, float]:
@@ -194,35 +196,52 @@ def classify_knn(model: Model, v, k: int | None = None) -> tuple[str, dict[str, 
     return _vote(model, dists, order, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Confusion matrix and accuracies over a labeled test set."""
+    """Confusion matrix over a labeled test set; every rate is read from it.
+
+    ``confusion[i, j]`` counts the samples of true label
+    ``label_order[i]`` predicted as ``label_order[j]``.  It is the
+    report's own read-only copy.  Reports compare and hash by identity.
+    """
 
     label_order: tuple[str, ...]
-    confusion: np.ndarray  # confusion[i][j] = count of true-i predicted-j
-    per_class: dict[str, float]
-    overall: float
-    total: int
+    confusion: np.ndarray  # (L, L) int64, read-only
+
+    def __post_init__(self):
+        conf = np.array(self.confusion, dtype=np.int64)
+        conf.flags.writeable = False
+        object.__setattr__(self, "label_order", tuple(self.label_order))
+        object.__setattr__(self, "confusion", conf)
+
+    @property
+    def total(self) -> int:
+        return int(self.confusion.sum())
+
+    @property
+    def overall(self) -> float:
+        """Share of samples predicted correctly (0.0 for an empty matrix)."""
+        total = self.total
+        return float(np.trace(self.confusion) / total) if total else 0.0
+
+    @property
+    def per_class(self) -> dict[str, float]:
+        """Recall per true label, in ``label_order`` (0.0 for a label with no samples)."""
+        rows = self.confusion.sum(axis=1)
+        return {
+            lab: float(self.confusion[i, i] / rows[i]) if rows[i] else 0.0
+            for i, lab in enumerate(self.label_order)
+        }
 
 
-def _make_report(label_order, true_labels, pred_labels) -> EvalReport:
+def _report(model: Model, neighbours, truths, k: int, label_order) -> EvalReport:
+    """Vote on each ``(dists, order)`` row of ``neighbours`` and count
+    the winner against the row's true label."""
     index = {lab: i for i, lab in enumerate(label_order)}
-    conf = np.zeros((len(label_order), len(label_order)), dtype=np.int64)
-    for t, p in zip(true_labels, pred_labels):
-        conf[index[t], index[p]] += 1
-    row_sums = conf.sum(axis=1)
-    per_class = {}
-    for i, lab in enumerate(label_order):
-        per_class[lab] = float(conf[i, i] / row_sums[i]) if row_sums[i] else 0.0
-    total = int(conf.sum())
-    overall = float(np.trace(conf) / total) if total else 0.0
-    return EvalReport(
-        label_order=tuple(label_order),
-        confusion=conf,
-        per_class=per_class,
-        overall=overall,
-        total=total,
-    )
+    conf = np.zeros((len(index), len(index)), dtype=np.int64)
+    for truth, (dists, order) in zip(truths, neighbours):
+        conf[index[truth], index[_vote(model, dists, order, k)[0]]] += 1
+    return EvalReport(label_order, conf)
 
 
 def evaluate(model: Model, test: list[tuple[np.ndarray, str]], k: int | None = None) -> EvalReport:
@@ -231,18 +250,16 @@ def evaluate(model: Model, test: list[tuple[np.ndarray, str]], k: int | None = N
         raise ValueError("test set must be nonempty")
     k = _k_in_range(model.k if k is None else k, len(model))
     queries = np.array([_query(vec) for vec, _ in test])
-    preds = [_vote(model, dists, order, k)[0] for dists, order in _neighbours(model, queries, k)]
     truths = [lab for _, lab in test]
     label_order = sorted(set(model.label_set) | set(truths))
-    return _make_report(label_order, truths, preds)
+    return _report(model, _neighbours(model, queries, k), truths, k, label_order)
 
 
 def leave_one_out(model: Model, k: int | None = None) -> EvalReport:
     """Classify each sample against the model minus itself."""
     k = _k_in_range(model.k if k is None else k, len(model) - 1)
     neighbours = _neighbours(model, model.vectors, k, exclude_self=True)
-    preds = [_vote(model, dists, order, k)[0] for dists, order in neighbours]
-    return _make_report(model.label_set, model.labels, preds)
+    return _report(model, neighbours, model.labels, k, model.label_set)
 
 
 # ---------------------------------------------------------------------------

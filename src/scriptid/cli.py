@@ -185,7 +185,7 @@ def cmd_classify(args, cfg: PipelineConfig) -> int:
 def _report_text(nn: classifier.EvalReport, knn: classifier.EvalReport, k: int) -> str:
     lines = [f"samples={knn.total}", f"k={k}", "script,nn_accuracy,knn_accuracy"]
     for lab in knn.label_order:
-        lines.append(f"{lab},{nn.per_class.get(lab, 0.0):.4f},{knn.per_class[lab]:.4f}")
+        lines.append(f"{lab},{nn.per_class[lab]:.4f},{knn.per_class[lab]:.4f}")
     lines.append(f"overall,{nn.overall:.4f},{knn.overall:.4f}")
     return "".join(line + "\n" for line in lines)
 

@@ -13,6 +13,7 @@ config fails at startup, not mid-batch.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 from scriptid._util import is_int, parse_float, parse_int
@@ -40,6 +41,8 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if f.type == "int" and not is_int(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
         if self.min_area < 0:
             raise ValueError(f"min_area must be >= 0, got {self.min_area}")
         if self.tau_line < 0 or self.tau_word < 0:

@@ -102,15 +102,12 @@ def render_word(
     rng: random.Random,
     bank: dict[str, list[np.ndarray]],
     label: str,
-    n_glyphs: int | None = None,
-    height: int | None = None,
+    n_glyphs: int,
+    height: int,
 ) -> tuple[np.ndarray, list[int], int]:
-    """One synthetic word; returns (image, glyph indices, height)."""
+    """One synthetic word of ``n_glyphs`` glyphs, ``height`` px tall;
+    returns (image, glyph indices, height)."""
     glyphs = bank[label]
-    if n_glyphs is None:
-        n_glyphs = 1 + rng.randrange(6)
-    if height is None:
-        height = rng.randint(10, 36)
     ids = [rng.randrange(len(glyphs)) for _ in range(n_glyphs)]
     scaled = [scale_to_height(glyphs[i], height) for i in ids]
     gap = 0 if label == HEADLINE_CLASS else 1

@@ -53,6 +53,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -236,9 +237,13 @@ _VALUES = re.compile(",".join([f"(?:{_FLOAT.pattern})"] * len(FEATURE_NAMES)))
 def format_feature_line(path: str, label: str | None, vec: np.ndarray) -> str:
     if len(vec) != len(FEATURE_NAMES):
         raise ValueError(f"expected {len(FEATURE_NAMES)} features, got {len(vec)}")
+    values = [float(v) for v in vec]
+    if not all(map(math.isfinite, values)):
+        # parse_feature_line refuses such a line, so it is never written
+        raise ValueError(f"non-finite feature for {path!r}: {values}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="")
-    writer.writerow([path, label or ""] + [repr(float(v)) for v in vec])
+    writer.writerow([path, label or ""] + [repr(v) for v in values])
     return buf.getvalue()
 
 

@@ -39,29 +39,30 @@ class NetpbmError(ValueError):
 
 
 class _Scanner:
-    """Whitespace/comment-aware tokenizer over the header bytes."""
+    """Whitespace/comment-aware tokenizer over the header bytes of ``path``."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, path: str):
         self.data = data
+        self.path = path
         self.pos = 0
 
     def token(self) -> bytes:
         m = _TOKEN.match(self.data, self.pos)
         if not m.group(1):
-            raise NetpbmError("unexpected end of header")
+            raise NetpbmError(f"{self.path}: unexpected end of header")
         self.pos = m.end()
         return m.group(1)
 
     def int_token(self) -> int:
         tok = self.token()
         if not tok.isdigit():
-            raise NetpbmError(f"expected integer, got {tok!r}")
+            raise NetpbmError(f"{self.path}: expected integer, got {tok!r}")
         return int(tok)
 
     def raster(self) -> bytes:
         # Exactly one whitespace byte separates the header from the raster.
         if self.pos >= len(self.data) or self.data[self.pos] not in _WHITESPACE:
-            raise NetpbmError("missing whitespace before raster")
+            raise NetpbmError(f"{self.path}: missing whitespace before raster")
         return self.data[self.pos + 1 :]
 
 
@@ -81,7 +82,7 @@ def read(path: str) -> tuple[str, np.ndarray]:
     if len(data) < 2:
         raise NetpbmError(f"{path}: not a Netpbm file")
     magic = data[:2]
-    sc = _Scanner(data)
+    sc = _Scanner(data, path)
     tok = sc.token()
     if tok != magic:
         raise NetpbmError(f"{path}: bad magic {tok!r}")

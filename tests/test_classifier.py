@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -228,6 +229,52 @@ def test_evaluate_handles_labels_absent_from_model(rng):
     assert rep.confusion.sum() == 2
 
 
+def test_report_rates_are_read_from_the_matrix(rng):
+    # "C" is in the model but not in the test set: its row is all zeros
+    m = make_model(rng, spread=3.0)
+    test = [(rng.random(8) * 4, ("A", "B")[i % 2]) for i in range(25)]
+    rep = evaluate(m, test, k=3)
+    conf = rep.confusion
+    assert rep.label_order == ("A", "B", "C")
+    assert conf.dtype == np.int64 and conf[2].sum() == 0
+    assert rep.total == 25 and type(rep.total) is int
+    assert rep.overall == (conf[0, 0] + conf[1, 1] + conf[2, 2]) / 25
+    assert rep.per_class == {"A": conf[0, 0] / 13, "B": conf[1, 1] / 12, "C": 0.0}
+    assert all(type(v) is float for v in [rep.overall, *rep.per_class.values()])
+
+
+def test_report_rates_of_a_hand_built_matrix():
+    rep = classifier.EvalReport(["x", "y", "z"], [[3, 1, 0], [2, 2, 0], [0, 0, 0]])
+    assert rep.label_order == ("x", "y", "z")
+    assert rep.total == 8
+    assert rep.overall == 5 / 8
+    assert rep.per_class == {"x": 3 / 4, "y": 2 / 4, "z": 0.0}
+    empty = classifier.EvalReport(("x",), np.zeros((1, 1), dtype=np.int64))
+    assert (empty.total, empty.overall, empty.per_class) == (0, 0.0, {"x": 0.0})
+
+
+def test_report_confusion_is_read_only(rng):
+    m = make_model(rng)
+    rep = leave_one_out(m, k=1)
+    before = rep.overall
+    with pytest.raises(ValueError, match="read-only"):
+        rep.confusion[0, 1] += 1
+    assert rep.overall == before
+    # a hand-built report keeps its own copy
+    counts = np.eye(2, dtype=np.int64)
+    hand = classifier.EvalReport(("a", "b"), counts)
+    counts[0, 1] = 5
+    assert hand.total == 2 and not hand.confusion.flags.writeable
+
+
+def test_reports_compare_and_hash_by_identity(rng):
+    m = make_model(rng)
+    r1, r2 = leave_one_out(m, k=1), leave_one_out(m, k=1)
+    assert np.array_equal(r1.confusion, r2.confusion)
+    assert r1 != r2 and r1 == r1
+    assert len({r1, r2, r1}) == 2
+
+
 # ---------------------------------------------------------------- leave-one-out
 def test_loo_twin_pairs_are_perfect():
     vecs = np.vstack([np.zeros((2, 8)), np.ones((2, 8))])
@@ -451,6 +498,26 @@ def test_model_headers_come_in_save_order(tmp_path, rng, edit):
     save_model(str(p), make_model(rng))
     p.write_text("\n".join(edit(p.read_text().splitlines())) + "\n")
     with pytest.raises(ModelFormatError, match="expected the headers version, k, features, normalization"):
+        load_model(str(p))
+
+
+def test_save_model_rejects_a_label_with_a_comma(tmp_path):
+    m = Model(vectors=np.eye(3, 8), labels=("A", "B,C", "A"), k=1)
+    p = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match="label 'B,C' contains reserved characters"):
+        save_model(str(p), m)
+    assert not p.exists()
+
+
+def test_model_rejects_short_sample_lines_and_no_samples(tmp_path, rng):
+    p = tmp_path / "m.txt"
+    save_model(str(p), make_model(rng))
+    lines = p.read_text().splitlines()
+    p.write_text("\n".join(lines[:4] + ["A,0.5,1.0,2.0"] + lines[4:]) + "\n")
+    with pytest.raises(ModelFormatError, match="malformed sample line 'A,0.5,1.0,2.0'"):
+        load_model(str(p))
+    p.write_text("\n".join(lines[:4]) + "\n")
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(p))}: no samples$"):
         load_model(str(p))
 
 

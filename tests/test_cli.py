@@ -344,6 +344,22 @@ def test_train_rejects_unlabeled_and_bad_k(tmp_path, small_corpus, capsys):
     assert cli.main(["train", str(good), "--out", str(tmp_path / "m2.txt"), "--k", "9"]) == 1
 
 
+def test_train_rejects_a_dump_of_blank_lines(tmp_path, capsys):
+    dump = tmp_path / "blank.csv"
+    dump.write_text("\n  \n\n")
+    assert cli.main(["train", str(dump), "--out", str(tmp_path / "m.txt")]) == 1
+    assert capsys.readouterr().err == f"scriptid: error: {dump}: empty feature dump\n"
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_train_reads_a_blank_line_between_rows_as_absent(tmp_path, small_corpus):
+    rows = Path(small_corpus["dump"]).read_text().splitlines()
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text(rows[0] + "\n\n" + "\n \t\n".join(rows[1:]) + "\n")
+    assert cli.main(["train", str(spaced), "--out", str(tmp_path / "m.txt"), "--k", "3"]) == 0
+    assert (tmp_path / "m.txt").read_bytes() == Path(small_corpus["model"]).read_bytes()
+
+
 # ---------------------------------------------------------------- classify
 def test_classify_training_image_confidence_one(small_corpus, capsys):
     word = next((small_corpus["corpus"] / "Kannada").glob("*.pbm"))
@@ -680,8 +696,15 @@ def test_config_overrides_and_validation(tmp_path, glyph_bank, capsys):
         ({"k": 2}, "k must be a positive odd integer, got 2"),
         ({"min_area": -1}, "min_area must be >= 0, got -1"),
         ({"gap_frac": 1.0}, "gap_frac must lie in (0, 1), got 1.0"),
+        ({"tau_line": -1}, "projection thresholds must be >= 0"),
+        ({"gap_min_floor": 0}, "gap_min_floor must be >= 1, got 0"),
+        ({"min_line_height": 0}, "min_line_height must be >= 1, got 0"),
+        ({"se_ratio": 0.0}, "se_ratio must lie in (0, 1], got 0.0"),
+        ({"se_ratio": 1.5}, "se_ratio must lie in (0, 1], got 1.5"),
+        ({"se_min_len": 4}, "se_min_len must be odd and >= 1, got 4"),
     ],
-    ids=["k=2,deskew_step=0", "deskew_step=-0.5", "deskew_max_angle=nan", "k=2", "min_area=-1", "gap_frac=1"],
+    ids=["k=2,deskew_step=0", "deskew_step=-0.5", "deskew_max_angle=nan", "k=2", "min_area=-1", "gap_frac=1",
+         "tau_line=-1", "gap_min_floor=0", "min_line_height=0", "se_ratio=0", "se_ratio=1.5", "se_min_len=4"],
 )
 def test_config_is_checked_when_constructed(overrides, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -701,6 +724,27 @@ def test_config_integer_fields_reject_non_integers(field, value):
 def test_config_integer_fields_take_numpy_integers():
     cfg = PipelineConfig(min_area=np.int64(15), k=np.int32(5), se_min_len=np.uint8(3))
     assert cfg.min_area == 15 and cfg.k == 5 and cfg.se_min_len == 3
+
+
+@pytest.mark.parametrize(
+    "overrides, field, value",
+    [
+        ({"se_ratio": True}, "se_ratio", True),
+        ({"deskew_max_angle": True, "deskew_step": 0.5}, "deskew_max_angle", True),
+        ({"gap_frac": "0.5"}, "gap_frac", "0.5"),
+        ({"se_ratio": None}, "se_ratio", None),
+    ],
+    ids=["se_ratio=True", "deskew_max_angle=True", "gap_frac=str", "se_ratio=None"],
+)
+def test_config_float_fields_reject_non_reals(overrides, field, value):
+    # a bool passed the range checks as 1; a str or None failed them with TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+        PipelineConfig(**overrides)
+
+
+def test_config_float_fields_take_integers_and_numpy_floats():
+    cfg = PipelineConfig(se_ratio=1, deskew_max_angle=np.float32(2.5), gap_frac=np.float64(0.25))
+    assert (cfg.se_ratio, cfg.deskew_max_angle, cfg.gap_frac) == (1, 2.5, 0.25)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from scriptid.corpus import (
     sprinkle_speckles,
 )
 from scriptid.imaging import connected_components, remove_small_objects
+from scriptid.netpbm import write_pbm
 
 
 def tree_digest(root: Path) -> str:
@@ -41,6 +43,21 @@ def test_glyph_bank_structure(glyph_bank):
 def test_load_glyphs_missing_root(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_glyphs(tmp_path / "nope")
+
+
+def test_load_glyphs_rejects_a_blank_glyph(tmp_path):
+    (tmp_path / "A").mkdir()
+    write_pbm(str(tmp_path / "A" / "g0.pbm"), np.eye(3, dtype=np.uint8))
+    write_pbm(str(tmp_path / "A" / "g1.pbm"), np.zeros((3, 3), np.uint8))
+    with pytest.raises(ValueError, match=f"^empty glyph: {re.escape(str(tmp_path / 'A' / 'g1.pbm'))}$"):
+        load_glyphs(tmp_path)
+
+
+def test_load_glyphs_needs_a_class_directory_with_glyphs(tmp_path):
+    (tmp_path / "stray.pbm").write_bytes(b"P1\n1 1\n1\n")  # not in a class directory
+    (tmp_path / "Empty").mkdir()  # a class directory without glyphs
+    with pytest.raises(FileNotFoundError, match=f"^no glyph classes under {re.escape(str(tmp_path))}$"):
+        load_glyphs(tmp_path)
 
 
 # ---------------------------------------------------------------- scaling/composition
@@ -83,10 +100,10 @@ def test_render_word_component_counts(glyph_bank):
 
 def test_render_word_height_range(glyph_bank):
     rng = random.Random(8)
-    for _ in range(20):
-        img, _, h = render_word(rng, glyph_bank, "Kannada")
-        assert 10 <= h <= 36
-        assert img.shape[0] == h
+    for height in range(10, 37):
+        img, ids, h = render_word(rng, glyph_bank, "Kannada", n_glyphs=1 + height % 6, height=height)
+        assert h == height == img.shape[0]
+        assert len(ids) == 1 + height % 6
 
 
 # ---------------------------------------------------------------- pages

@@ -569,6 +569,14 @@ def test_feature_line_rejects_non_finite():
     for bad in ("nan", "inf", "-inf"):
         with pytest.raises(ValueError, match="non-finite"):
             parse_feature_line(ok.replace(",0.0", "," + bad, 1))
+    # the writer refuses what the reader refuses
+    for bad in (math.nan, math.inf, -math.inf):
+        vec = np.zeros(8)
+        vec[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            format_feature_line("w.pbm", "A", vec)
+        with pytest.raises(ValueError, match="non-finite"):
+            format_feature_line("p", "L", [bad] * 8)
 
 
 @pytest.mark.parametrize("bad", ["1_0", " 1.0", "+1", "\u0661"])

@@ -64,6 +64,13 @@ def test_otsu_tie_between_splits_goes_to_the_smallest_threshold():
     assert otsu_threshold(img[::-1]) == 10
 
 
+def test_otsu_takes_other_integer_dtypes_in_range():
+    img = np.array([[0, 200], [10, 250]], np.int16)
+    assert otsu_threshold(img) == brute_otsu(img.astype(np.uint8)) == 10
+    with pytest.raises(ValueError, match="grayscale intensities must lie in 0..255"):
+        otsu_threshold(np.array([[0, 300], [10, 250]], np.int16))
+
+
 def test_otsu_matches_bruteforce_on_random_images(rng):
     for _ in range(30):
         img = rng.integers(0, 256, (64, 64)).astype(np.uint8)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,24 @@ def test_read_rejects_bad_inputs(tmp_path):
         p.write_bytes(data)
         with pytest.raises(NetpbmError, match=message):
             read(str(p))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P", "not a Netpbm file"),
+        (b"P4\n8 2\n\x00", "truncated raster"),
+        (b"P5\n2 2\n255", "missing whitespace before raster"),
+        (b"P5\n2 2", "unexpected end of header"),
+        (b"P4\n8 -2\n", "expected integer, got b'-2'"),
+    ],
+    ids=["one-byte", "p4-truncated", "p5-no-raster-separator", "header-end", "not-an-integer"],
+)
+def test_read_errors_name_the_file(tmp_path, data, message):
+    p = tmp_path / "bad.pnm"
+    p.write_bytes(data)
+    with pytest.raises(NetpbmError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        read(str(p))
 
 
 _WS = (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c")

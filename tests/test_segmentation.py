@@ -339,6 +339,21 @@ def test_deskew_reads_only_blob_areas(glyph_bank, geometry_calls):
     assert geometry_calls == []
 
 
+def test_deskew_subsamples_a_large_page(glyph_bank, monkeypatch):
+    # 87,412 ink pixels, all in blobs that deskew keeps: the variance
+    # search reads 30,000 of them
+    rng = random.Random(9)
+    page, _ = render_page(rng, glyph_bank, n_lines=14, words_per_line=(8, 10), heights=(20, 36))
+    skewed = rotate_binary(page, 2.0)
+    samples = []
+    linspace = np.linspace
+    monkeypatch.setattr(np, "linspace", lambda *a, **kw: samples.append(a) or linspace(*a, **kw))
+    _, angle = deskew(skewed)
+    assert angle == 2.0
+    assert samples == [(0, np.count_nonzero(skewed) - 1, 30000)]
+    assert np.count_nonzero(skewed) == 87412
+
+
 def test_deskew_too_few_components_returns_zero():
     page = np.zeros((30, 30), np.uint8)
     page[10:14, 10:20] = 1  # one blob only
