@@ -54,8 +54,10 @@ HEADLINE_CLASS = "Devnagari"  # glyphs compose flush (continuous headline)
 def load_glyphs(root: str | Path | None = None) -> dict[str, list[np.ndarray]]:
     """Load glyph sets: one subdirectory per class, one PBM per glyph.
 
-    Glyphs are trimmed to their ink bounding box on load.  Raises if the
-    directory is missing or any class is empty.
+    Glyphs are trimmed to their ink bounding box on load.  Raises
+    ``FileNotFoundError`` if the directory is missing, if no class
+    directory holds a glyph, or, when some do, naming a class directory
+    that holds none; ``ValueError`` for a glyph without ink.
     """
     root = Path(root) if root is not None else Path(str(resources.files("scriptid") / "glyphs"))
     if not root.is_dir():
@@ -68,10 +70,12 @@ def load_glyphs(root: str | Path | None = None) -> dict[str, list[np.ndarray]]:
             if glyph is None:
                 raise ValueError(f"empty glyph: {path}")
             glyphs.append(np.ascontiguousarray(glyph))
-        if glyphs:
-            bank[class_dir.name] = glyphs
-    if not bank:
+        bank[class_dir.name] = glyphs
+    if not any(bank.values()):
         raise FileNotFoundError(f"no glyph classes under {root}")
+    empty = [name for name, glyphs in bank.items() if not glyphs]
+    if empty:
+        raise FileNotFoundError(f"class directory without glyphs: {root / empty[0]}")
     return bank
 
 

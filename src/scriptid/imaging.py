@@ -10,12 +10,23 @@ images can be processed in parallel without coordination.
 Otsu's threshold compares the between-class variances of the splits as
 exact ``Fraction`` values, so no rounding can move it.
 
-Component labeling is two functions.  ``connected_components``
+Words read label maps, pages read runs.  ``connected_components``
 returns a read-only ``np.intp`` label map and the area of each label,
-counted over the ink pixels alone (a page's label map is mostly
-background); despeckling and deskew read only those.
-``component_geometry`` gives the bounding boxes and the axis lengths,
-for the callers that need them (a word, once).  Both have two exact
+counted over the ink pixels alone; ``component_geometry`` gives the
+bounding boxes and the axis lengths, for the callers that need them (a
+word, once).  Page-level callers (despeckling, deskew's blobs and
+``preprocess``'s component count) need only areas, a count or the page
+less its small components, so ``_component_runs`` labels the page's
+ink runs instead of its pixels (run-based labeling: Rosenfeld and
+Pfaltz, JACM 1966; He, Chao and Suzuki, IEEE TIP 2008).  It joins each
+run to the runs it touches on the next row, labels that graph with
+``scipy.sparse.csgraph`` and writes no page-size map.  Words keep
+``ndi.label``: their openings read the map, and on 24-64 px crops the
+graph labeler's fixed cost loses (217 and 259 us against 48 and 186 us
+with areas, medians over word crops, 2 vCPU, CPython 3.11, numpy 2.4,
+scipy 1.17).
+
+``connected_components`` and ``component_geometry`` both have two exact
 paths, selected by the map's size.  A map under ``RUN_GEOMETRY_MIN_PX``
 pixels is read pixel by pixel: areas from the labels under the ink,
 boxes from ``ndi.find_objects``, means and moments from one pass over
@@ -206,6 +217,52 @@ def _ink_runs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, np.flatnonzero(ends) - first + 1
 
 
+def _run_pixels(first: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The indices ``first[i] .. first[i] + length[i] - 1`` of every run
+    ``i``, run by run."""
+    return np.arange(length.sum()) - np.repeat(np.cumsum(length) - length - first, length)
+
+
+def _without_runs(b: np.ndarray, first: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """A writable copy of ``b`` with the pixels of the given runs set to 0."""
+    out = b.copy()
+    out.ravel()[_run_pixels(first, length)] = 0
+    return out
+
+
+def _component_runs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The 8-connected components of ``b`` as sets of its ink runs:
+    ``(first, length, comp, n)``.
+
+    ``first`` and ``length`` are ``_ink_runs(b)``, run ``i`` lies in
+    component ``comp[i]`` and ``n`` counts the components.  The
+    numbering is arbitrary (the graph labeler's own): callers read only
+    areas, a count and which runs share a component.  A run on row r
+    touches the runs on row r + 1 that overlap its columns widened by
+    one and clamped to the row.  The runs are in raster order, so those
+    form one contiguous range, bisected from the runs' last and first
+    pixels.  No label map is written; a generated page has about one
+    run per 70 pixels.
+    """
+    # imported here: scipy.sparse would add about 10 MB to every process,
+    # including those that never label a page
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components as graph_components
+
+    first, length = _ink_runs(b)
+    w = b.shape[1]
+    last = first + length - 1
+    row_first = first - first % w
+    start = np.searchsorted(last, np.maximum(first - 1, row_first) + w)
+    stop = np.searchsorted(first, np.minimum(last + 1, row_first + w - 1) + w, side="right")
+    count = stop - start
+    indptr = np.concatenate(([0], np.cumsum(count)))
+    below = _run_pixels(start, count)
+    graph = csr_matrix((np.ones(below.size), below, indptr), shape=(first.size, first.size))
+    n, comp = graph_components(graph, directed=False)
+    return first, length, comp, n
+
+
 def component_geometry(img, labels: np.ndarray, area: np.ndarray) -> Geometry:
     """Bounding boxes and axis lengths of every component of ``img``.
 
@@ -274,7 +331,7 @@ def _run_geometry(b: np.ndarray, labels: np.ndarray, area: np.ndarray) -> Geomet
     mean_c = sum_c / area
     slot = lab - 1
     # each pixel's column: its run's first column plus its place in the run
-    cols = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length - c0, length)
+    cols = _run_pixels(c0, length)
     dr = np.repeat(row - mean_r[slot], length)
     dc = cols.astype(np.float64) - np.repeat(mean_c[slot], length)
     return _ellipse_geometry(bbox, area, np.repeat(lab, length), dr, dc)
@@ -325,9 +382,14 @@ def remove_small_objects(img, min_area: int) -> np.ndarray:
     similar debris vanish while every surviving glyph keeps its exact
     shape (the filter is a pure component-area criterion).  ``min_area``
     is a nonnegative integer; the pipeline passes ``PipelineConfig.min_area``.
+    The image's ink runs are labeled (``_component_runs``), not its
+    pixels, and the runs of the small components are zeroed in a copy:
+    the result is a fresh, writable uint8 array, even when nothing is
+    dropped.
     """
     if not (is_int(min_area) and min_area >= 0):
         raise ValueError(f"min_area must be a nonnegative integer, got {min_area!r}")
-    labels, area = connected_components(img, connectivity=8)
-    keep = np.concatenate(([False], area >= min_area))  # indexed by label
-    return keep.view(np.uint8)[labels]
+    b = as_binary(img)
+    first, length, comp, n = _component_runs(b)
+    small = (np.bincount(comp, weights=length, minlength=n) < min_area)[comp]
+    return _without_runs(b, first[small], length[small])

@@ -21,7 +21,8 @@ import numpy as np
 from scriptid import morphology
 from scriptid._util import round_half_up
 from scriptid.config import PipelineConfig
-from scriptid.imaging import _ink_runs, as_binary, connected_components
+from scriptid.imaging import _component_runs, _ink_runs, _without_runs, as_binary
+from scriptid.imaging import connected_components  # noqa: F401  bench/tracing.py patches it here
 
 __all__ = [
     "LineBand",
@@ -170,22 +171,26 @@ def deskew(page, cfg: PipelineConfig = PipelineConfig()) -> tuple[np.ndarray, fl
     The page is dilated with ``morphology.dilate`` by a vertical line SE
     of length ``cfg.deskew_dilate_len`` (rows -(L//2) .. L-L//2-1 around
     each pixel, so an even length reaches one row further up than down)
-    so characters clump into word blobs, blobs smaller than
-    ``cfg.min_area`` pixels are dropped, and the skew angle is the
-    candidate in [-max, +max] (``cfg.deskew_max_angle``) whose
-    un-rotation packs the surviving ink into the sharpest horizontal
-    bands (maximum variance of the row projection).  The search runs
-    coarse-to-fine down to ``cfg.deskew_step`` degrees.  Pages with
-    fewer than two blobs are returned unchanged with angle 0.
+    so characters clump into word blobs.  The blobs are labeled through
+    their ink runs (``imaging._component_runs``), with no label map; the
+    page ink under the runs of blobs smaller than ``cfg.min_area``
+    pixels is dropped.  The skew angle is the candidate in [-max, +max]
+    (``cfg.deskew_max_angle``) whose un-rotation packs the surviving ink
+    into the sharpest horizontal bands (maximum variance of the row
+    projection).  The search runs coarse-to-fine down to
+    ``cfg.deskew_step`` degrees.  Pages with fewer than two blobs of at
+    least ``cfg.min_area`` pixels are returned unchanged with angle 0.
     """
     max_angle, step = cfg.deskew_max_angle, cfg.deskew_step
     b = as_binary(page)
     blobs = morphology.dilate(b, morphology.StructuringElement(90, cfg.deskew_dilate_len))
-    labels, area = connected_components(blobs, connectivity=8)
-    keep = np.concatenate(([False], area >= cfg.min_area))  # indexed by label
+    first, length, comp, n = _component_runs(blobs)
+    keep = np.bincount(comp, weights=length, minlength=n) >= cfg.min_area
     if np.count_nonzero(keep) < 2:
         return b.copy(), 0.0
-    ink = np.flatnonzero(keep[labels] & b.view(bool))
+    # every ink pixel lies in its blob: drop the ink under the small blobs' runs
+    dropped = ~keep[comp]
+    ink = np.flatnonzero(_without_runs(b, first[dropped], length[dropped]))
     if ink.size > 30000:  # plenty for the variance signal
         ink = ink[np.linspace(0, ink.size - 1, 30000).astype(np.int64)]
     h, w = b.shape

@@ -60,6 +60,18 @@ def test_load_glyphs_needs_a_class_directory_with_glyphs(tmp_path):
         load_glyphs(tmp_path)
 
 
+def test_load_glyphs_refuses_a_class_directory_without_glyphs(tmp_path):
+    # a class that loads nothing would silently go missing from a corpus
+    (tmp_path / "A").mkdir()
+    (tmp_path / "A" / "g.pbm").write_bytes(b"P1\n1 1\n1\n")
+    (tmp_path / "B").mkdir()
+    (tmp_path / "B" / "notes.txt").write_text("not a glyph\n")
+    with pytest.raises(FileNotFoundError, match=f"^class directory without glyphs: {re.escape(str(tmp_path / 'B'))}$"):
+        load_glyphs(tmp_path)
+    (tmp_path / "B" / "g.pbm").write_bytes(b"P1\n1 1\n1\n")
+    assert sorted(load_glyphs(tmp_path)) == ["A", "B"]
+
+
 # ---------------------------------------------------------------- scaling/composition
 def test_scale_to_height_dimensions(glyph_bank):
     g = glyph_bank["Kannada"][0]

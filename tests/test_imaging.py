@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import array_ellipse_axes, brute_otsu, flood_components, moment_axes
+import scriptid
 from scriptid import imaging
 from scriptid.imaging import (
     as_binary,
@@ -313,6 +318,53 @@ def test_component_areas_read_runs_from_the_threshold_on(monkeypatch):
     assert seen == [(1, _T)]
 
 
+@st.composite
+def run_images(draw):
+    """Random ink of density 0.05-0.8 in small and thin shapes, and empty
+    and full images of those shapes."""
+    if draw(st.booleans()):
+        h, w = draw(st.sampled_from(((1, 60), (60, 1), (1, 1))))
+    else:
+        h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    fill = draw(st.sampled_from(("random", "random", "empty", "full")))
+    if fill != "random":
+        return np.full((h, w), fill == "full", np.uint8)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random((h, w)) < draw(st.floats(0.05, 0.8))).astype(np.uint8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(img=run_images())
+@example(img=np.zeros((5, 7), np.uint8))
+@example(img=np.ones((5, 7), np.uint8))
+@example(img=np.ones((1, 40), np.uint8))
+@example(img=np.ones((40, 1), np.uint8))
+@example(img=np.eye(9, dtype=np.uint8)[:, ::-1])
+@example(img=np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1]], np.uint8))
+def test_component_runs_group_runs_as_the_label_map_does(img):
+    first, length, comp, n = imaging._component_runs(img)
+    labels, area = connected_components(img, connectivity=8)
+    assert all(np.array_equal(a, b) for a, b in zip((first, length), imaging._ink_runs(img)))
+    # a bijection between run components and labels
+    lab = labels.ravel()[first]
+    pairs = set(zip(comp.tolist(), lab.tolist()))
+    assert n == len(area) == len(pairs) == len({c for c, _ in pairs}) == len({x for _, x in pairs})
+    comp_of_label = np.zeros(n, np.intp)
+    comp_of_label[lab - 1] = comp
+    assert np.array_equal(np.bincount(comp, weights=length, minlength=n)[comp_of_label], area)
+
+
+def test_importing_the_cli_does_not_load_the_graph_labeler():
+    # the run labeler imports scipy.sparse and its csgraph on first use,
+    # not at start-up
+    env = dict(os.environ)
+    src = str(Path(scriptid.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, scriptid.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
 _SUMS = st.floats(0.0, 1e12, allow_subnormal=False)
 
 
@@ -437,15 +489,19 @@ def test_remove_small_objects_matches_component_oracle(rng):
 
 
 def test_remove_small_objects_reads_only_areas(rng, monkeypatch, geometry_calls):
-    # one labeling through connected_components, and no moment pass
+    # one run labeling, no label map and no moment pass
     labelings = []
-    real = imaging.connected_components
+    real = imaging._component_runs
 
-    def counting(img, *args, **kwargs):
-        labelings.append(np.shape(img))
-        return real(img, *args, **kwargs)
+    def counting(b):
+        labelings.append(b.shape)
+        return real(b)
 
-    monkeypatch.setattr(imaging, "connected_components", counting)
+    def no_map(*args, **kwargs):
+        raise AssertionError("connected_components called")
+
+    monkeypatch.setattr(imaging, "_component_runs", counting)
+    monkeypatch.setattr(imaging, "connected_components", no_map)
     img = (rng.random((32, 32)) < 0.3).astype(np.uint8)
     remove_small_objects(img, min_area=5)
     assert labelings == [(32, 32)]
@@ -468,6 +524,19 @@ def test_remove_small_objects_takes_numpy_integer_min_area():
     want = blob.copy()
     want[0, 9] = 0
     assert np.array_equal(remove_small_objects(blob, np.int64(15)), want)
+
+
+@pytest.mark.parametrize("min_area", [0, 15, 1000])
+def test_remove_small_objects_returns_a_fresh_writable_array(min_area):
+    # drops nothing, the dot, everything
+    img = np.zeros((10, 10), np.uint8)
+    img[2:8, 2:7] = 1
+    img[0, 9] = 1
+    img.flags.writeable = False
+    out = remove_small_objects(img, min_area)
+    assert out.dtype == np.uint8 and out.flags.writeable
+    assert not np.shares_memory(out, img)
+    assert np.count_nonzero(out) == {0: 31, 15: 30, 1000: 0}[min_area]
 
 
 def test_remove_small_objects_idempotent(rng):

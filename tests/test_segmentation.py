@@ -366,13 +366,13 @@ def test_deskew_vertical_dilation_matches_window_oracle(rng, monkeypatch):
     # the blob image deskew labels must be the page dilated over rows
     # -(L//2) .. L-L//2-1, for odd and even L alike
     seen = []
-    labeler = segmentation.connected_components
+    labeler = segmentation._component_runs
 
-    def capture(img, *args, **kwargs):
-        seen.append(np.array(img))
-        return labeler(img, *args, **kwargs)
+    def capture(b):
+        seen.append(np.array(b))
+        return labeler(b)
 
-    monkeypatch.setattr(segmentation, "connected_components", capture)
+    monkeypatch.setattr(segmentation, "_component_runs", capture)
     for _ in range(2):
         page = (rng.random((40, 56)) < 0.04).astype(np.uint8)
         for length in range(1, 13):
