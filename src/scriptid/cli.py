@@ -33,7 +33,7 @@ IMAGE_SUFFIXES = (".pbm", ".pgm")
 
 def cmd_preprocess(args, cfg: PipelineConfig) -> int:
     page, t, angle = pipeline.preprocess(netpbm.read_gray(args.input), cfg)
-    n_components = imaging._component_runs(page)[3]
+    n_components = len(imaging._component_runs(page)[3])
     netpbm.write_pbm(args.out, page)
     report = f"threshold={t}\nskew_degrees={angle:.2f}\ncomponents={n_components}\n"
     write_text_atomic(args.out + ".report.txt", report)

@@ -33,13 +33,13 @@ kept and a dropped component are never 4-adjacent.
 The remaining four are plain regional descriptors: average aspect ratio,
 hole-filled pixel ratio, average eccentricity and average extent over
 the word's 8-connected components.  The word is labeled once, in
-``WordImage.from_image``, into an ``np.intp`` map: the four openings
-keep the labels under their eroded markers, taking the label count
-from the word's areas (``opening_by_reconstruction(..., labels=,
-n=)``), and label and count nothing again; an opening that keeps every
-component is a copy of the word.  The component geometry is computed
-once, on first read, from that label map, and for a large word from
-the crop's ink runs, reading the map once per run.
+``WordImage.from_image``, into an ``np.intp`` map and its label count:
+the four openings keep the labels under their eroded markers
+(``opening_by_reconstruction(..., labels=, n=)``), and label and count
+nothing again; an opening that keeps every component is a copy of the
+word.  The component geometry, areas included, is computed once, on
+first read, from that label map, and for a large word from the crop's
+ink runs, reading the map once per run.
 
 The SE length, one for all four directions, is ``cfg.se_ratio`` of the
 word's mean component height (``se_length_for``).
@@ -93,34 +93,38 @@ class WordImage:
     """A word crop plus its 8-connected components.
 
     ``img`` is the tight ink crop (first/last rows and columns contain
-    ink); ``labels`` and ``area`` are its label map and label areas, and
-    ``geometry`` is computed from them and the crop on first read.
-    Construct via :meth:`from_image`, which rejects empty images.  Words
-    compare by identity.
+    ink), a read-only array of the word's own; ``labels`` and ``n`` are
+    its label map and label count, and ``geometry`` (areas included) is
+    computed from them and the crop on first read.  Construct via
+    :meth:`from_image`, which rejects empty images.  Words compare by
+    identity.
     """
 
     img: np.ndarray
     labels: np.ndarray = field(repr=False)
-    area: np.ndarray = field(repr=False)
+    n: int = field(repr=False)
 
     @classmethod
     def from_image(cls, img) -> "WordImage":
         crop = crop_to_ink(as_binary(img))
         if crop is None:
             raise ValueError("word image contains no ink")
-        # a crop of as_binary's read-only view is itself read-only
-        labels, area = connected_components(crop, connectivity=8)
-        return cls(img=crop, labels=labels, area=area)
+        # a copy: a later write to the caller's array must not reach the
+        # pixels the label map was made from
+        crop = crop.copy()
+        crop.flags.writeable = False
+        labels, n = connected_components(crop, connectivity=8)
+        return cls(img=crop, labels=labels, n=n)
 
     @functools.cached_property
     def geometry(self) -> Geometry:
-        """Boxes and axis lengths of the components, one row each."""
-        return component_geometry(self.img, self.labels, self.area)
+        """Areas, boxes and axis lengths of the components, one row each."""
+        return component_geometry(self.img, self.labels, self.n)
 
     @functools.cached_property
     def ink(self) -> int:
         """Ink pixel count of the word."""
-        return sum(self.area.tolist())
+        return sum(self.geometry.area.tolist())
 
     @functools.cached_property
     def _filled(self) -> np.ndarray:
@@ -162,7 +166,7 @@ def se_length_for(word: WordImage, cfg: PipelineConfig = PipelineConfig()) -> in
 
 def _opd(word: WordImage, se: StructuringElement) -> float:
     """Directional on-pixel density after reconstruction and hole fill."""
-    opened = opening_by_reconstruction(word.img, se, labels=word.labels, n=len(word.area))
+    opened = opening_by_reconstruction(word.img, se, labels=word.labels, n=word.n)
     # the opening is a union of the word's components: keeping all ink
     # means it is the word, so the word's own fill serves; a partial
     # opening takes one of the module docstring's three cases
@@ -213,7 +217,7 @@ def avg_eccentricity(word: WordImage) -> float:
 
 def avg_extent(word: WordImage) -> float:
     """Average fraction of its bounding box a component covers, in (0, 1]."""
-    boxes = zip(word.area.tolist(), word.geometry.bbox.tolist())
+    boxes = zip(word.geometry.area.tolist(), word.geometry.bbox.tolist())
     return _mean([a / ((r1 - r0 + 1) * (c1 - c0 + 1)) for a, (r0, c0, r1, c1) in boxes])
 
 

@@ -11,44 +11,44 @@ Otsu's threshold compares the between-class variances of the splits as
 exact ``Fraction`` values, so no rounding can move it.
 
 Words read label maps, pages read runs.  ``connected_components``
-returns a read-only ``np.intp`` label map and the area of each label,
-counted over the ink pixels alone; ``component_geometry`` gives the
-bounding boxes and the axis lengths, for the callers that need them (a
-word, once).  Page-level callers (despeckling, deskew's blobs and
-``preprocess``'s component count) need only areas, a count or the page
-less its small components, so ``_component_runs`` labels the page's
-ink runs instead of its pixels (run-based labeling: Rosenfeld and
-Pfaltz, JACM 1966; He, Chao and Suzuki, IEEE TIP 2008).  It joins each
-run to the runs it touches on the next row, labels that graph with
-``scipy.sparse.csgraph`` and writes no page-size map.  Words keep
-``ndi.label``: their openings read the map, and on 24-64 px crops the
-graph labeler's fixed cost loses (217 and 259 us against 48 and 186 us
-with areas, medians over word crops, 2 vCPU, CPython 3.11, numpy 2.4,
-scipy 1.17).
+only labels: it returns a read-only ``np.intp`` label map and the label
+count, as ``ndi.label`` does.  ``component_geometry`` measures the
+labeled components, areas with the bounding boxes and the axis
+lengths, for the callers that need them (a word, once).  Page-level
+callers (despeckling, deskew's blobs and ``preprocess``'s component
+count) need only areas, a count or the page less its small
+components, so ``_component_runs`` labels the page's ink runs instead
+of its pixels (run-based labeling: Rosenfeld and Pfaltz, JACM 1966;
+He, Chao and Suzuki, IEEE TIP 2008) and adds up each component's run
+lengths.  It joins each run to the runs it touches on the next row,
+labels that graph with ``scipy.sparse.csgraph`` and writes no
+page-size map.  Words keep ``ndi.label``: their openings read the map,
+and on 24-64 px crops the graph labeler's fixed cost loses (217 and
+259 us against 48 and 186 us with areas, medians over word crops, 2
+vCPU, CPython 3.11, numpy 2.4, scipy 1.17).
 
-``connected_components`` and ``component_geometry`` both have two exact
-paths, selected by the map's size.  A map under ``RUN_GEOMETRY_MIN_PX``
-pixels is read pixel by pixel: areas from the labels under the ink,
-boxes from ``ndi.find_objects``, means and moments from one pass over
-the ink.  A larger one is read as the image's ink runs (maximal
-horizontal stretches of ink, found by two byte comparisons on the
-uint8 image).  Every horizontal neighbour in ink shares a component
-under 4- and 8-connectivity alike, so each run lies inside one
-component and the map is read once per run, at its first pixel.
-Areas add up run lengths; boxes and means come from the runs, and the
-second moments add each run's row term, repeated, with per-pixel
-column terms in raster order, so the sums are bitwise those of the
-pixel pass.  The per-component tail of the ellipse runs in Python
-floats, one correctly rounded operation per step, as the same steps
-over float64 arrays would.
+``component_geometry`` has two exact paths, selected by the map's
+size; no other function switches on it.  A map under
+``RUN_GEOMETRY_MIN_PX`` pixels is read pixel by pixel: areas from the
+labels of the ink pixels, boxes from ``ndi.find_objects``, means and
+moments from one pass over the ink.  A larger one is read as the
+image's ink runs (maximal horizontal stretches of ink, found by two
+byte comparisons on the uint8 image).  Every horizontal neighbour in
+ink shares a component under 4- and 8-connectivity alike, so each run
+lies inside one component and the map is read once per run, at its
+first pixel.  Areas add up run lengths; boxes and means come from the
+runs, and the second moments add each run's row term, repeated, with
+per-pixel column terms in raster order, so the sums are bitwise those
+of the pixel pass.  The per-component tail of the ellipse runs in
+Python floats, one correctly rounded operation per step, as the same
+steps over float64 arrays would.
 
 Against the pixel pass, on word crops (2 vCPU, CPython 3.11, numpy
 2.4, scipy 1.17), the run geometry takes 1.6x the time under 2,048
 pixels, 1.15x at 2-4k, 0.87x at 4-8k, 0.69x at 8-16k and 0.5x above
-16k; the run areas take 3.2x, 1.9x, 1.3x, 0.84x and 0.4-0.6x.  The two
-cross on either side of 8,192 pixels, and an end-to-end threshold of
-4,096 left the median and 90th-percentile ``big_words`` word
-unchanged within noise, so the threshold stays at 8,192.  Neither
+16k.  The two cross on either side of 8,192 pixels, and an end-to-end
+threshold of 4,096 left the median and 90th-percentile ``big_words``
+word unchanged within noise, so the threshold stays at 8,192.  Neither
 path alone does as well end to end (measured with the geometry alone
 on runs): with every map read as runs, the median word of the
 ``page`` and ``train`` benchmarks (maps under 8,192 pixels) took
@@ -79,9 +79,8 @@ __all__ = [
     "remove_small_objects",
 ]
 
-# label maps of at least this many pixels get their areas and geometry
-# from ink runs; below it the per-pixel pass is the faster one (module
-# docstring)
+# label maps of at least this many pixels get their geometry from ink
+# runs; below it the per-pixel pass is the faster one (module docstring)
 RUN_GEOMETRY_MIN_PX = 8192
 
 
@@ -129,13 +128,15 @@ def as_binary(img) -> np.ndarray:
 class Geometry(NamedTuple):
     """Geometry of labeled components; row ``i`` describes label ``i + 1``.
 
-    ``bbox`` rows are (row_min, col_min, row_max, col_max), inclusive.
-    Axis lengths come from each component's equivalent ellipse: the 2x2
+    ``area`` is each component's pixel count, counted over its ink
+    pixels.  ``bbox`` rows are (row_min, col_min, row_max, col_max),
+    inclusive.  Axis lengths come from each component's equivalent ellipse: the 2x2
     covariance of its pixel coordinates gets a +1/12 per-pixel
     correction (a pixel is a unit square, not a point), and each axis
     is 4*sqrt(eigenvalue).  A single pixel therefore has equal axes.
     """
 
+    area: np.ndarray  # (n,) np.intp
     bbox: np.ndarray  # (n, 4) np.intp
     major_axis_len: np.ndarray  # (n,) float64
     minor_axis_len: np.ndarray  # (n,) float64
@@ -177,28 +178,20 @@ def binarize(img, t: int) -> np.ndarray:
     return (g <= t).astype(np.uint8)
 
 
-def connected_components(img, connectivity: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Label maximal connected sets of 1-pixels; returns ``(labels, area)``.
+def connected_components(img, connectivity: int = 8) -> tuple[np.ndarray, int]:
+    """Label maximal connected sets of 1-pixels; returns ``(labels, n)``.
 
-    ``labels`` is a read-only ``np.intp`` map, 0 on background.  Labels
-    run from 1 in raster-scan order of each component's first pixel.
-    That order is ``ndi.label``'s own (its union-find keeps the smallest
-    label as root and numbers roots in increasing order), and the tests
-    pin it against a flood-fill oracle.  ``area[i]`` is the pixel count
-    of label ``i + 1`` (``np.intp``), counted over the ink pixels only:
-    a map of ``RUN_GEOMETRY_MIN_PX`` pixels or more adds up the lengths
-    of its ink runs, reading the map once per run.
+    ``labels`` is a read-only ``np.intp`` map, 0 on background, and
+    ``n`` the label count.  Labels run from 1 in raster-scan order of
+    each component's first pixel.  That order is ``ndi.label``'s own
+    (its union-find keeps the smallest label as root and numbers roots
+    in increasing order), and the tests pin it against a flood-fill
+    oracle.  The components' areas come with their geometry
+    (``component_geometry``).
     """
-    b = as_binary(img)
-    labels, n = ndi.label(b, structure=label_structure(connectivity), output=np.intp)
+    labels, n = ndi.label(as_binary(img), structure=label_structure(connectivity), output=np.intp)
     labels.flags.writeable = False
-    if b.size >= RUN_GEOMETRY_MIN_PX:
-        first, length = _ink_runs(b)
-        # float sums of integer lengths: exact below 2**53
-        area = np.bincount(labels.ravel()[first], weights=length, minlength=n + 1)[1:]
-        return labels, area.astype(np.intp)
-    area = np.bincount(labels.ravel().compress(b.ravel().view(bool)), minlength=n + 1)[1:]
-    return labels, area
+    return labels, n
 
 
 def _ink_runs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,19 +223,20 @@ def _without_runs(b: np.ndarray, first: np.ndarray, length: np.ndarray) -> np.nd
     return out
 
 
-def _component_runs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _component_runs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The 8-connected components of ``b`` as sets of its ink runs:
-    ``(first, length, comp, n)``.
+    ``(first, length, comp, area)``.
 
     ``first`` and ``length`` are ``_ink_runs(b)``, run ``i`` lies in
-    component ``comp[i]`` and ``n`` counts the components.  The
-    numbering is arbitrary (the graph labeler's own): callers read only
-    areas, a count and which runs share a component.  A run on row r
-    touches the runs on row r + 1 that overlap its columns widened by
-    one and clamped to the row.  The runs are in raster order, so those
-    form one contiguous range, bisected from the runs' last and first
-    pixels.  No label map is written; a generated page has about one
-    run per 70 pixels.
+    component ``comp[i]`` and ``area[c]`` is the pixel count of
+    component ``c`` (``np.intp``), so ``len(area)`` counts the
+    components.  The numbering is arbitrary (the graph labeler's own):
+    callers read only areas, a count and which runs share a component.
+    A run on row r touches the runs on row r + 1 that overlap its
+    columns widened by one and clamped to the row.  The runs are in
+    raster order, so those form one contiguous range, bisected from the
+    runs' last and first pixels.  No label map is written; a generated
+    page has about one run per 70 pixels.
     """
     # imported here: scipy.sparse would add about 10 MB to every process,
     # including those that never label a page
@@ -260,37 +254,40 @@ def _component_runs(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     below = _run_pixels(start, count)
     graph = csr_matrix((np.ones(below.size), below, indptr), shape=(first.size, first.size))
     n, comp = graph_components(graph, directed=False)
-    return first, length, comp, n
+    # float sums of integer lengths: exact below 2**53
+    area = np.bincount(comp, weights=length, minlength=n).astype(np.intp)
+    return first, length, comp, area
 
 
-def component_geometry(img, labels: np.ndarray, area: np.ndarray) -> Geometry:
-    """Bounding boxes and axis lengths of every component of ``img``.
+def component_geometry(img, labels: np.ndarray, n: int) -> Geometry:
+    """Areas, bounding boxes and axis lengths of every component of ``img``.
 
     ``labels`` must label the components of the binary image ``img``
-    (4- or 8-connected, any numbering of 1..n, background 0), and
-    ``area`` give their pixel counts, as ``connected_components(img)``
-    returns them.  Like the opening's label map, both are trusted, not
-    checked against ``img``: a map of some other image gives wrong
-    geometry.  A map of ``RUN_GEOMETRY_MIN_PX`` pixels or more is read
-    from ``img``'s ink runs, one map read per run, a smaller one pixel
-    by pixel; both give the same bytes.  Every horizontal neighbour in
-    ink shares a component under either connectivity, so each run lies
-    inside one component.
+    (4- or 8-connected, any numbering of 1..n, background 0), and ``n``
+    count them, as ``connected_components(img)`` returns them.  Like
+    the opening's label map, both are trusted, not checked against
+    ``img``: a map of some other image gives wrong geometry.  A map of
+    ``RUN_GEOMETRY_MIN_PX`` pixels or more is read from ``img``'s ink
+    runs, one map read per run, a smaller one pixel by pixel; both give
+    the same bytes.  Every horizontal neighbour in ink shares a
+    component under either connectivity, so each run lies inside one
+    component.
     """
     if labels.size >= RUN_GEOMETRY_MIN_PX:
-        return _run_geometry(as_binary(img), labels, area)
-    return _pixel_geometry(labels, area)
+        return _run_geometry(as_binary(img), labels, n)
+    return _pixel_geometry(labels, n)
 
 
-def _pixel_geometry(labels: np.ndarray, area: np.ndarray) -> Geometry:
-    """Boxes from ``ndi.find_objects``, moments from one pass over the ink pixels."""
-    n = len(area)
+def _pixel_geometry(labels: np.ndarray, n: int) -> Geometry:
+    """Areas from the labels of the ink pixels, boxes from
+    ``ndi.find_objects``, moments from one pass over the ink pixels."""
     boxes = [(r.start, c.start, r.stop - 1, c.stop - 1) for r, c in ndi.find_objects(labels, n)]
     bbox = np.array(boxes, dtype=np.intp).reshape(n, 4)
 
     flat = labels.ravel()
     idx = np.flatnonzero(flat)
     lab = flat[idx]
+    area = np.bincount(lab, minlength=n + 1)[1:]
     rows, cols = np.divmod(idx, labels.shape[1])
     # float once: bincount would convert integer weights on every call
     rows = rows.astype(np.float64)
@@ -301,15 +298,15 @@ def _pixel_geometry(labels: np.ndarray, area: np.ndarray) -> Geometry:
     return _ellipse_geometry(bbox, area, lab, rows - mean_r[slot], cols - mean_c[slot])
 
 
-def _run_geometry(b: np.ndarray, labels: np.ndarray, area: np.ndarray) -> Geometry:
-    """Boxes and means from the ink runs of ``b``, moments from the runs' pixels.
+def _run_geometry(b: np.ndarray, labels: np.ndarray, n: int) -> Geometry:
+    """Areas, boxes and means from the ink runs of ``b``, moments from
+    the runs' pixels.
 
     Runs are taken in raster order, and each run's label is read at its
     first pixel.  Each run's row term is repeated over its pixels, so
     the moment sums add the same values in the same order as
     ``_pixel_geometry``: the bytes are equal.
     """
-    n = len(area)
     first, length = _ink_runs(b)
     lab = labels.ravel()[first]
     row, c0 = np.divmod(first, b.shape[1])
@@ -325,6 +322,7 @@ def _run_geometry(b: np.ndarray, labels: np.ndarray, area: np.ndarray) -> Geomet
     bbox = np.stack((row[order[head]], left, row[order[end - 1]], right), axis=1)
 
     # exact integer sums; a run covers columns c0..c1
+    area = np.bincount(lab, weights=length, minlength=n + 1)[1:].astype(np.intp)
     sum_r = np.bincount(lab, weights=row * length, minlength=n + 1)[1:]
     sum_c = np.bincount(lab, weights=(c0 + c1) * length // 2, minlength=n + 1)[1:]
     mean_r = sum_r / area
@@ -346,6 +344,7 @@ def _ellipse_geometry(bbox, area, lab, dr, dc) -> Geometry:
     )
     major, minor = _ellipse_axes(s_rr, s_cc, s_rc, area.tolist())
     return Geometry(
+        area=area,
         bbox=bbox,
         major_axis_len=np.array(major, dtype=np.float64),
         minor_axis_len=np.array(minor, dtype=np.float64),
@@ -390,6 +389,6 @@ def remove_small_objects(img, min_area: int) -> np.ndarray:
     if not (is_int(min_area) and min_area >= 0):
         raise ValueError(f"min_area must be a nonnegative integer, got {min_area!r}")
     b = as_binary(img)
-    first, length, comp, n = _component_runs(b)
-    small = (np.bincount(comp, weights=length, minlength=n) < min_area)[comp]
+    first, length, comp, area = _component_runs(b)
+    small = (area < min_area)[comp]
     return _without_runs(b, first[small], length[small])

@@ -200,16 +200,15 @@ def opening_by_reconstruction(img, se: StructuringElement, labels=None, n=None) 
     writable uint8 array.  Without a map this is
     ``reconstruct_by_dilation(erode(img, se), img)``.
 
-    ``labels`` and ``n`` go together or not at all.  ``labels`` must be
-    the 8-connected labeling of ``img`` as
-    ``imaging.connected_components(img)`` returns it (any numbering of
-    the components will do, background 0), and ``n`` its label count
-    (``len(area)``).  The opening then keeps the labels under the
-    eroded marker and labels nothing; a caller that opens one image in
-    several directions labels and counts it once.  Both are trusted,
-    not checked against ``img`` or each other: a map of some other
-    image gives a wrong opening, and a count below the map's largest
-    label an ``IndexError``.  Only their form is checked:
+    ``labels`` and ``n`` go together or not at all.  They must be the
+    8-connected labeling of ``img`` and its label count, as
+    ``imaging.connected_components(img)`` returns them (any numbering
+    of the components will do, background 0).  The opening then keeps
+    the labels under the eroded marker and labels nothing; a caller
+    that opens one image in several directions labels and counts it
+    once.  Both are trusted, not checked against ``img`` or each other:
+    a map of some other image gives a wrong opening, and a count below
+    the map's largest label an ``IndexError``.  Only their form is checked:
     ``ValueError`` for one without the other, for a map that is not an
     integer array of ``img``'s shape, and for an ``n`` that is not a
     nonnegative integer.

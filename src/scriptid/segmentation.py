@@ -184,8 +184,8 @@ def deskew(page, cfg: PipelineConfig = PipelineConfig()) -> tuple[np.ndarray, fl
     max_angle, step = cfg.deskew_max_angle, cfg.deskew_step
     b = as_binary(page)
     blobs = morphology.dilate(b, morphology.StructuringElement(90, cfg.deskew_dilate_len))
-    first, length, comp, n = _component_runs(blobs)
-    keep = np.bincount(comp, weights=length, minlength=n) >= cfg.min_area
+    first, length, comp, area = _component_runs(blobs)
+    keep = area >= cfg.min_area
     if np.count_nonzero(keep) < 2:
         return b.copy(), 0.0
     # every ink pixel lies in its blob: drop the ink under the small blobs' runs

@@ -29,9 +29,9 @@ def geometry_calls(monkeypatch):
     calls = []
     real = imaging.component_geometry
 
-    def counting(img, labels, area):
+    def counting(img, labels, n):
         calls.append(labels.shape)
-        return real(img, labels, area)
+        return real(img, labels, n)
 
     for module in (imaging, features):
         monkeypatch.setattr(module, "component_geometry", counting)

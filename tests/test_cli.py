@@ -56,7 +56,7 @@ def test_preprocess_matches_library_pipeline(tmp_path, glyph_bank, capsys):
     )
     assert int(report["threshold"]) == t
     assert float(report["skew_degrees"]) == pytest.approx(angle)
-    assert int(report["components"]) == len(connected_components(expected)[1])
+    assert int(report["components"]) == connected_components(expected)[1]
 
 
 def test_preprocess_blank_page(tmp_path, capsys):

@@ -44,7 +44,7 @@ def test_word_image_crops_tight():
     w = word_from(img)
     assert w.img.shape == (4, 5)
     assert w.img.any(axis=1).all() and w.img.any(axis=0).all()
-    assert len(w.area) == 1
+    assert w.n == 1
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
@@ -55,6 +55,21 @@ def test_word_image_is_read_only(dtype):
     assert w.img.dtype == np.uint8 and not w.img.flags.writeable
     with pytest.raises(ValueError):
         w.img[0, 0] = 0
+
+
+def test_word_image_owns_its_crop():
+    # a write to the caller's array after from_image must not reach the
+    # word: its label map was made from the pixels it had then
+    img = np.zeros((8, 20), np.uint8)
+    img[2:6, 2:5] = 1
+    img[2:6, 15:18] = 1
+    word = WordImage.from_image(img)
+    want = extract_features(WordImage.from_image(img.copy()))
+    img[2:6, 2:5] = 0
+    img[2:6, 8:11] = 1
+    assert not np.shares_memory(word.img, img)
+    assert not word.img.flags.writeable
+    assert extract_features(word).tobytes() == want.tobytes()
 
 
 def test_word_image_rejects_empty():
@@ -90,11 +105,11 @@ def thin_words(draw, max_len=40):
 def test_word_image_components_match_flood_fill_on_thin_words(img):
     w = word_from(img)
     oracle = flood_components(w.img, connectivity=8)
-    assert len(w.area) == len(oracle)
+    assert w.n == len(w.geometry.area) == len(oracle)
     for i, pixels in enumerate(oracle):
         rows = [p[0] for p in pixels]
         cols = [p[1] for p in pixels]
-        assert w.area[i] == len(pixels)
+        assert w.geometry.area[i] == len(pixels)
         assert w.geometry.bbox[i].tolist() == [min(rows), min(cols), max(rows), max(cols)]
 
 

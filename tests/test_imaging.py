@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import array_ellipse_axes, brute_otsu, flood_components, moment_axes
 import scriptid
 from scriptid import imaging
+from scriptid.features import WordImage, extract_features
 from scriptid.imaging import (
     as_binary,
     as_gray,
@@ -132,9 +133,10 @@ def test_binarize_monotone_in_threshold(rng):
 # ---------------------------------------------------------------- components
 def test_components_empty_image():
     img = np.zeros((5, 5), np.uint8)
-    labels, area = connected_components(img)
-    assert len(area) == 0
-    geom = component_geometry(img, labels, area)
+    labels, n = connected_components(img)
+    assert n == 0
+    geom = component_geometry(img, labels, n)
+    assert geom.area.shape == (0,)
     assert geom.bbox.shape == (0, 4)
     assert not labels.any()
 
@@ -142,8 +144,8 @@ def test_components_empty_image():
 def test_components_diagonal_connectivity():
     img = np.zeros((4, 4), np.uint8)
     img[1, 1] = img[2, 2] = 1
-    assert len(connected_components(img, connectivity=8)[1]) == 1
-    assert len(connected_components(img, connectivity=4)[1]) == 2
+    assert connected_components(img, connectivity=8)[1] == 1
+    assert connected_components(img, connectivity=4)[1] == 2
 
 
 @st.composite
@@ -164,17 +166,17 @@ def ink_images(draw, max_side=40):
 @example(img=np.eye(5, dtype=np.uint8)[::-1], conn=4)
 @example(img=np.zeros((3, 2), np.uint8), conn=8)
 def test_components_match_flood_fill_oracle(img, conn):
-    labels, area = connected_components(img, connectivity=conn)
-    geom = component_geometry(img, labels, area)
+    labels, n = connected_components(img, connectivity=conn)
+    geom = component_geometry(img, labels, n)
     oracle = flood_components(img, connectivity=conn)
     assert labels.dtype == np.intp
     assert np.array_equal(labels > 0, img == 1)
-    assert len(area) == len(oracle)
+    assert n == len(geom.area) == len(oracle)
     # the oracle lists components by raster-first pixel, so this pins the
     # order; entry i describes label i + 1
     for i, pixels in enumerate(oracle):
         assert set(zip(*np.nonzero(labels == i + 1))) == pixels
-        assert area[i] == len(pixels)
+        assert geom.area[i] == len(pixels)
         rows = [p[0] for p in pixels]
         cols = [p[1] for p in pixels]
         assert geom.bbox[i].tolist() == [min(rows), min(cols), max(rows), max(cols)]
@@ -182,9 +184,9 @@ def test_components_match_flood_fill_oracle(img, conn):
 
 def test_components_labels_partition_ink(rng):
     img = (rng.random((40, 40)) < 0.3).astype(np.uint8)
-    labels, area = connected_components(img)
+    labels, n = connected_components(img)
     assert np.array_equal(labels > 0, img == 1)
-    assert area.sum() == img.sum()
+    assert component_geometry(img, labels, n).area.sum() == img.sum()
 
 
 def test_components_raster_discovery_order(rng):
@@ -199,15 +201,15 @@ def test_components_label_map_is_read_only(rng, geometry_calls):
     # a word computes its geometry from the map later, so a write into
     # the returned map must not be able to make it stale
     img = (rng.random((20, 20)) < 0.3).astype(np.uint8)
-    labels, area = connected_components(img)
+    labels, n = connected_components(img)
     assert labels.dtype == np.intp
     assert not labels.flags.writeable
     with pytest.raises(ValueError):
         labels[0, 0] = 7
     assert geometry_calls == []  # labeling alone makes no moment pass
-    geom = imaging.component_geometry(img, labels, area)
-    assert geom.bbox.shape == (len(area), 4)
-    assert len(geom.major_axis_len) == len(geom.minor_axis_len) == len(area)
+    geom = imaging.component_geometry(img, labels, n)
+    assert geom.bbox.shape == (n, 4)
+    assert len(geom.area) == len(geom.major_axis_len) == len(geom.minor_axis_len) == n
     assert geometry_calls == [(20, 20)]  # one pass serves every field
 
 
@@ -234,10 +236,10 @@ def labelings(draw):
     h, w = _near_threshold_or_small(draw)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     img = (rng.random((h, w)) < draw(st.floats(0.0, 1.0))).astype(np.uint8)
-    labels, area = connected_components(img, connectivity=draw(st.sampled_from((4, 8))))
+    labels, n = connected_components(img, connectivity=draw(st.sampled_from((4, 8))))
     if draw(st.booleans()):
         # any numbering of the components will do
-        labels = np.concatenate(([0], rng.permutation(len(area)) + 1))[labels]
+        labels = np.concatenate(([0], rng.permutation(n) + 1))[labels]
     return img, labels
 
 
@@ -256,9 +258,9 @@ _PERMUTED_LABELS = np.array([[3, 3, 0, 1], [0, 0, 0, 1], [2, 0, 1, 1]])
 @example(case=(np.zeros((3, 2), np.uint8), np.zeros((3, 2), np.intp)))
 def test_run_geometry_equals_pixel_geometry_byte_for_byte(case):
     img, labels = case
-    area = np.bincount(labels.ravel())[1:]
-    runs = imaging._run_geometry(img, labels, area)
-    pixels = imaging._pixel_geometry(labels, area)
+    n = int(labels.max())
+    runs = imaging._run_geometry(img, labels, n)
+    pixels = imaging._pixel_geometry(labels, n)
     for name, a, b in zip(imaging.Geometry._fields, runs, pixels):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
@@ -280,7 +282,7 @@ def test_component_geometry_reads_runs_from_the_threshold_on(monkeypatch):
 
 @st.composite
 def ink_at_the_threshold(draw):
-    """Ink images at and around the run area's size threshold, the thin
+    """Ink images at and around the run geometry's size threshold, the thin
     extremes, small ones, and empty and full ones of any of those shapes."""
     h, w = _near_threshold_or_small(draw)
     fill = draw(st.sampled_from(("random", "empty", "full")))
@@ -299,12 +301,14 @@ def ink_at_the_threshold(draw):
 @example(img=np.zeros((64, _T // 64), np.uint8), conn=8)
 @example(img=np.eye(91, dtype=np.uint8)[:, ::-1], conn=4)
 def test_component_areas_equal_label_counts(img, conn):
-    labels, area = connected_components(img, connectivity=conn)
+    labels, n = connected_components(img, connectivity=conn)
+    area = component_geometry(img, labels, n).area
     assert area.dtype == np.intp
-    assert np.array_equal(area, np.bincount(labels.ravel())[1:])
+    assert np.array_equal(area, np.bincount(labels.ravel(), minlength=n + 1)[1:])
 
 
-def test_component_areas_read_runs_from_the_threshold_on(monkeypatch):
+def _recording_ink_runs(monkeypatch):
+    """Shapes of every image ``imaging._ink_runs`` reads from now on."""
     seen = []
     real = imaging._ink_runs
 
@@ -313,9 +317,26 @@ def test_component_areas_read_runs_from_the_threshold_on(monkeypatch):
         return real(b)
 
     monkeypatch.setattr(imaging, "_ink_runs", recording)
-    for shape in ((1, _T - 1), (1, _T)):
+    return seen
+
+
+def test_connected_components_reads_no_ink_runs(monkeypatch):
+    # labeling only labels: the areas come with the geometry
+    seen = _recording_ink_runs(monkeypatch)
+    for shape in ((1, _T - 1), (1, _T), (64, 2 * _T // 64)):
         connected_components(np.ones(shape, np.uint8))
-    assert seen == [(1, _T)]
+    assert seen == []
+
+
+def test_a_large_word_reads_its_ink_runs_once(monkeypatch):
+    seen = _recording_ink_runs(monkeypatch)
+    img = np.zeros((96, 100), np.uint8)
+    img[::4, 5:] = 1  # 24 bars
+    img[:, :3] = 1  # joined by a post
+    word = WordImage.from_image(img)
+    assert word.img.size >= _T
+    extract_features(word)
+    assert seen == [word.img.shape]
 
 
 @st.composite
@@ -342,16 +363,17 @@ def run_images(draw):
 @example(img=np.eye(9, dtype=np.uint8)[:, ::-1])
 @example(img=np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1]], np.uint8))
 def test_component_runs_group_runs_as_the_label_map_does(img):
-    first, length, comp, n = imaging._component_runs(img)
-    labels, area = connected_components(img, connectivity=8)
+    first, length, comp, area = imaging._component_runs(img)
+    labels, n = connected_components(img, connectivity=8)
     assert all(np.array_equal(a, b) for a, b in zip((first, length), imaging._ink_runs(img)))
     # a bijection between run components and labels
     lab = labels.ravel()[first]
     pairs = set(zip(comp.tolist(), lab.tolist()))
-    assert n == len(area) == len(pairs) == len({c for c, _ in pairs}) == len({x for _, x in pairs})
+    assert len(area) == n == len(pairs) == len({c for c, _ in pairs}) == len({x for _, x in pairs})
     comp_of_label = np.zeros(n, np.intp)
     comp_of_label[lab - 1] = comp
-    assert np.array_equal(np.bincount(comp, weights=length, minlength=n)[comp_of_label], area)
+    assert area.dtype == np.intp
+    assert np.array_equal(area[comp_of_label], component_geometry(img, labels, n).area)
 
 
 def test_importing_the_cli_does_not_load_the_graph_labeler():
@@ -390,8 +412,8 @@ def test_scalar_ellipse_axes_equal_array_axes_byte_for_byte(sums):
 def _components(img):
     """``(area, geometry)`` of a binary image's 8-components."""
     img = np.asarray(img, dtype=np.uint8)
-    labels, area = connected_components(img)
-    return area, component_geometry(img, labels, area)
+    geom = component_geometry(img, *connected_components(img))
+    return geom.area, geom
 
 
 def _single_component(img):
@@ -434,9 +456,9 @@ def test_axis_lengths_match_oracle_on_random_blobs(rng):
         img = (rng.random((20, 20)) < 0.3).astype(np.uint8)
         if not img.any():
             continue
-        labels, area = connected_components(img)
-        geom = component_geometry(img, labels, area)
-        for i in range(len(area)):
+        labels, n = connected_components(img)
+        geom = component_geometry(img, labels, n)
+        for i in range(n):
             pixels = list(zip(*np.nonzero(labels == i + 1)))
             major, minor = moment_axes(pixels)
             assert geom.major_axis_len[i] == pytest.approx(major, rel=1e-9)

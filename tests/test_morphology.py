@@ -421,18 +421,18 @@ def test_complement_basics(rng):
 def test_obr_rejects_a_non_integer_map_or_a_bad_count():
     img = np.ones((4, 5), np.uint8)
     se = line_se(0, 3)
-    labels, area = connected_components(img)
+    labels, count = connected_components(img)
     for bad in (labels.astype(np.float64), labels.astype(bool)):
         with pytest.raises(ValueError, match="integer array"):
-            opening_by_reconstruction(img, se, labels=bad, n=len(area))
+            opening_by_reconstruction(img, se, labels=bad, n=count)
     for n in (-1, 1.0, 1.5, True, "1", np.float64(1)):
         with pytest.raises(ValueError, match="nonnegative integer"):
             opening_by_reconstruction(img, se, labels=labels, n=n)
     with pytest.raises(ValueError, match="labels and n go together"):
-        opening_by_reconstruction(img, se, n=len(area))
+        opening_by_reconstruction(img, se, n=count)
     with pytest.raises(ValueError, match="labels and n go together"):
         opening_by_reconstruction(img, se, labels=labels)
-    for n in (len(area), np.intp(len(area))):
+    for n in (count, np.intp(count)):
         assert np.array_equal(opening_by_reconstruction(img, se, labels=labels, n=n), img)
 
 
@@ -588,11 +588,11 @@ def test_obr_with_labels_equals_obr_without(img, direction, length):
     want = opening_by_reconstruction(img, se)
     assert np.array_equal(want, reconstruct_by_dilation(erode(img, se), img))
     assert_fresh(want, img)
-    labels, area = connected_components(img)
+    labels, n = connected_components(img)
     # any numbering of the components will do: reverse it too
     reversed_labels = np.where(labels > 0, labels.max() + 1 - labels, 0)
     for lab in (labels, reversed_labels):
-        out = opening_by_reconstruction(img, se, labels=lab, n=len(area))
+        out = opening_by_reconstruction(img, se, labels=lab, n=n)
         assert np.array_equal(out, want)
         assert_fresh(out, img)
 
